@@ -23,6 +23,7 @@ from .panel import (
     Panel,
     TimeSeries,
     band_from_periods,
+    csv_line,
     load_panel_csv,
     load_recession_csv,
     periods_of_band,
@@ -227,12 +228,8 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     if not common:
         raise ContractError("sweep settings share no common months")
 
-    stability_path = out.target("stability.csv")
-    import csv as _csv
-
-    with open(stability_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["setting_a", "setting_b", "r", "pearson"])
+    with open(out.target("stability.csv"), "w", newline="") as fh:
+        fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]))
         for i in range(len(results)):
             for j in range(i + 1, len(results)):
                 label_a, res_a = results[i]
@@ -243,8 +240,8 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
                     series_a = res_a.ratios[r][idx_a]
                     series_b = res_b.ratios[r][idx_b]
                     pearson = float(np.corrcoef(series_a, series_b)[0, 1])
-                    writer.writerow([label_a, label_b, format(r, "g"),
-                                     format(pearson, ".12g")])
+                    fh.write(csv_line([label_a, label_b, format(r, "g"),
+                                       format(pearson, ".12g")]))
 
     items = [
         ("command", "sweep"),

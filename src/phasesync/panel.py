@@ -238,7 +238,7 @@ def load_panel_csv(path) -> Panel:
     """Read a panel from CSV with header ``date,<id1>,<id2>,...``.
 
     Dates must be YYYY-MM and strictly consecutive months. Every cell must
-    be numeric; errors name the offending row (1-based, header = row 1)
+    be a finite number; errors name the offending row (1-based, header = row 1)
     and column.
     """
     with open(path, newline="") as fh:
@@ -289,23 +289,76 @@ def load_panel_csv(path) -> Panel:
 
     if len(months) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, got {len(months)}")
+    values = np.array(columns)
+    del columns  # free the per-cell Python floats before TimeSeries copies the values
+    finite = np.isfinite(values)
+    if not finite.all():
+        # first bad cell in file order: earliest row, then leftmost column
+        row, col = np.argwhere(~finite.T)[0]
+        raise IngestionError(
+            f"{path}: row {row + 2}, column '{ids[col]}': "
+            f"non-finite value {rows[row + 1][col + 1]!r}"
+        )
     try:
         return Panel(tuple(
-            TimeSeries(sid, months[0], vals) for sid, vals in zip(ids, columns)
+            TimeSeries(sid, months[0], vals) for sid, vals in zip(ids, values)
         ))
     except ContractError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
 
+def csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted exactly where csv.writer's default
+    dialect quotes it (QUOTE_MINIMAL: on a comma, quote or line break)."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(fields) -> str:
+    """One CSV row of two or more string fields, as csv.writer.writerow writes it."""
+    return ",".join(map(csv_field, fields)) + "\r\n"
+
+
+class CsvRows:
+    """Formats blocks of CSV rows that share their leading fields.
+
+    Row i of a block is leads[i], then the block's own fields, then the
+    floats of row i of the block's values at 12 significant digits. The
+    bytes equal csv.writer's rows of ``format(v, ".12g")`` strings, but a
+    block is one ``%``-template, so all of its floats are formatted in one
+    C-level call instead of one writerow and one format() per row.
+    """
+
+    def __init__(self, leads):
+        self._leads = [_template_fields(fields) for fields in leads]
+
+    def text(self, fields, values: np.ndarray) -> str:
+        """Rows for one block: values has one row per lead (1-d: one float each)."""
+        width = 1 if values.ndim == 1 else values.shape[1]
+        tail = _template_fields(fields) + ",".join(["%.12g"] * width) + "\r\n"
+        return (tail.join(self._leads) + tail) % tuple(values.ravel().tolist())
+
+
+def _template_fields(fields) -> str:
+    """Quoted fields, each followed by a comma, with % escaped for a %-template."""
+    return "".join(csv_field(f).replace("%", "%%") + "," for f in fields)
+
+
+# panel rows per CsvRows block: on a 150-member panel one block's template,
+# floats and text take a few MB, never a copy of the whole file
+_PANEL_BLOCK_ROWS = 256
+
+
 def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits."""
+    values = np.column_stack([s.values for s in panel.series])
+    dates = [(str(panel.month_at(i)),) for i in range(panel.n)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(panel.ids))
-        for i in range(panel.n):
-            row = [str(panel.month_at(i))]
-            row += [format(s.values[i], ".12g") for s in panel.series]
-            writer.writerow(row)
+        fh.write(csv_line(["date", *panel.ids]))
+        for start in range(0, panel.n, _PANEL_BLOCK_ROWS):
+            stop = start + _PANEL_BLOCK_ROWS
+            fh.write(CsvRows(dates[start:stop]).text((), values[start:stop]))
 
 
 def load_recession_csv(path) -> RecessionCalendar:

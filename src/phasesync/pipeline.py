@@ -9,7 +9,6 @@ anchoring so downstream alignment cannot silently drift by a half-window.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,16 @@ import numpy as np
 from ._kernels import active_backend
 from .analytic import analytic_signal
 from .errors import ContractError, PhaseSyncError
-from .panel import FilterBand, Month, Panel, RecessionCalendar, periods_of_band, round_half_up
+from .panel import (
+    CsvRows,
+    FilterBand,
+    Month,
+    Panel,
+    RecessionCalendar,
+    csv_line,
+    periods_of_band,
+    round_half_up,
+)
 from .spectral import bandpass, detrend_linear, trim_edges
 from .sync import SyncSeries, phase_difference, sync_index_windowed
 
@@ -117,29 +125,26 @@ class SyncResult:
         """Calendar month at which sample idx is centered."""
         return self.meta.anchor + idx
 
+    def _sample_fields(self) -> list[tuple[str, str]]:
+        """(t, date) of every sample, the leading fields of each CSV row."""
+        return [(str(self.t_of(idx)), str(self.month_of(idx)))
+                for idx in range(self.n_samples)]
+
     def write_gamma_csv(self, path) -> None:
         """Long format: t,date,pair_i,pair_j,gamma2."""
+        rows = CsvRows(self._sample_fields())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "date", "pair_i", "pair_j", "gamma2"])
-            for (id_i, id_j), series in self.pair_gamma.items():
-                for idx, g in enumerate(series.gamma2):
-                    writer.writerow([
-                        self.t_of(idx), str(self.month_of(idx)),
-                        id_i, id_j, format(g, ".12g"),
-                    ])
+            fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
+            for pair, series in self.pair_gamma.items():
+                fh.write(rows.text(pair, series.gamma2))
 
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
+        rows = CsvRows(self._sample_fields())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "date", "r", "R"])
+            fh.write(csv_line(["t", "date", "r", "R"]))
             for r in self.meta.config.thresholds:
-                for idx, value in enumerate(self.ratios[r]):
-                    writer.writerow([
-                        self.t_of(idx), str(self.month_of(idx)),
-                        format(r, "g"), format(value, ".12g"),
-                    ])
+                fh.write(rows.text((format(r, "g"),), self.ratios[r]))
 
     def write_ratio_wide_csv(self, path, labels: tuple[str, ...] | None = None) -> None:
         """One R column per threshold; optional per-row regime label column."""
@@ -148,18 +153,16 @@ class SyncResult:
             raise ContractError(
                 f"got {len(labels)} labels for {self.n_samples} samples"
             )
+        header = ["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
+        if labels is not None:
+            header.append("regime")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
-            if labels is not None:
-                header.append("regime")
-            writer.writerow(header)
-            for idx in range(self.n_samples):
-                row = [self.t_of(idx), str(self.month_of(idx))]
-                row += [format(self.ratios[r][idx], ".12g") for r in thresholds]
+            fh.write(csv_line(header))
+            for idx, fields in enumerate(self._sample_fields()):
+                row = list(fields) + [format(self.ratios[r][idx], ".12g") for r in thresholds]
                 if labels is not None:
                     row.append(labels[idx])
-                writer.writerow(row)
+                fh.write(csv_line(row))
 
     def meta_items(self) -> list[tuple[str, str]]:
         """Key-value pairs describing this run, for the metadata sidecar."""
@@ -279,8 +282,7 @@ def run_pipeline(panel: Panel, config: PipelineConfig,
         (panel.series[i].id, panel.series[j].id): series
         for (i, j), series in zip(pairs, scored)
     }
-    stacked = np.vstack([series.gamma2 for series in scored])
-    ratios = {r: (stacked >= r).mean(axis=0) for r in config.thresholds}
+    ratios = _ratios(scored, config.thresholds)
 
     half_width = (config.window - 1) // 2
     meta = ResultMeta(
@@ -316,8 +318,13 @@ def ratio_above(pair_gamma, r: float) -> np.ndarray:
                 f"{first.window} and length {len(first)}, got "
                 f"window {series.window} and length {len(series)}"
             )
+    return _ratios(series_list, (r,))[r]
+
+
+def _ratios(series_list, thresholds) -> dict[float, np.ndarray]:
+    """Fraction of the pair series with gamma2 >= r at each time, per threshold r."""
     stacked = np.vstack([series.gamma2 for series in series_list])
-    return (stacked >= r).mean(axis=0)
+    return {r: (stacked >= r).mean(axis=0) for r in thresholds}
 
 
 def normalize_di(series) -> np.ndarray:

@@ -234,6 +234,19 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match=r"row 3.*'b'.*oops"):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a,b\n2000-01,1,2\n2000-02,{cell},3\n")
+        with pytest.raises(IngestionError, match=rf"row 3, column 'a': non-finite value '{cell}'"):
+            load_panel_csv(path)
+
+    def test_first_non_finite_cell_in_file_order(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a,b\n2000-01,1,2\n2000-02,3,inf\n2000-03,nan,4\n")
+        with pytest.raises(IngestionError, match=r"row 3, column 'b'"):
+            load_panel_csv(path)
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,a,b\n2000-01,1,2\n2000-02,3\n")
