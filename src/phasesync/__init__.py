@@ -8,7 +8,6 @@ each month. See the pipeline module for the one-call entry point and the
 cli module for the batch interface.
 """
 
-from ._kernels import active_backend, warm_up
 from .analytic import AnalyticSeries, analytic_signal, hilbert
 from .errors import ContractError, DegeneratePhaseError, IngestionError, PhaseSyncError
 from .panel import (
@@ -66,7 +65,6 @@ __all__ = [
     "SyncResult",
     "SyncSeries",
     "TimeSeries",
-    "active_backend",
     "analytic_signal",
     "annotate_recessions",
     "band_from_periods",
@@ -87,7 +85,6 @@ __all__ = [
     "sync_index_full",
     "sync_index_windowed",
     "trim_edges",
-    "warm_up",
     "write_metadata",
     "write_panel_csv",
     "__version__",

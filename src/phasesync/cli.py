@@ -239,7 +239,10 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
                 for r in thresholds:
                     series_a = res_a.ratios[r][idx_a]
                     series_b = res_b.ratios[r][idx_b]
-                    pearson = float(np.corrcoef(series_a, series_b)[0, 1])
+                    if np.ptp(series_a) == 0.0 or np.ptp(series_b) == 0.0:
+                        pearson = float("nan")  # undefined: an R series is constant
+                    else:
+                        pearson = float(np.corrcoef(series_a, series_b)[0, 1])
                     fh.write(csv_line([label_a, label_b, format(r, "g"),
                                        format(pearson, ".12g")]))
 

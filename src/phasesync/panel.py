@@ -1,7 +1,6 @@
 """Core data containers for monthly panels and frequency bands.
 
-Everything here is immutable after construction so panels and bands can be
-shared freely across worker threads.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations

@@ -9,15 +9,13 @@ anchoring so downstream alignment cannot silently drift by a half-window.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
-from ._kernels import active_backend
 from .analytic import analytic_signal
 from .errors import ContractError, PhaseSyncError
 from .panel import (
@@ -31,9 +29,9 @@ from .panel import (
     round_half_up,
 )
 from .spectral import bandpass, detrend_linear, trim_edges
-from .sync import SyncSeries, phase_difference, sync_index_windowed
+from .sync import SyncSeries, pair_gamma2
 
-WORKERS_ENV = "PHASESYNC_WORKERS"
+RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
 
 @dataclass(frozen=True)
@@ -97,21 +95,32 @@ class ResultMeta:
 class SyncResult:
     """All-pairs synchronization output.
 
-    pair_gamma maps (id_i, id_j), i before j in panel order, to that
-    pair's SyncSeries; ratios maps each threshold r to the R_t sequence.
+    pairs lists (id_i, id_j), i before j in panel order; row k of the
+    read-only (pairs x samples) array gamma2 is pair k's windowed index.
+    ratios maps each threshold r to the R_t sequence.
     """
 
-    pair_gamma: dict[tuple[str, str], SyncSeries]
+    pairs: tuple[tuple[str, str], ...]
+    gamma2: np.ndarray
     ratios: dict[float, np.ndarray]
     meta: ResultMeta
 
+    def __post_init__(self):
+        self.gamma2.flags.writeable = False
+
+    @cached_property
+    def pair_gamma(self) -> dict[tuple[str, str], SyncSeries]:
+        """Each pair's SyncSeries, viewing its row of gamma2."""
+        return {pair: SyncSeries(gamma2=row, window=self.window)
+                for pair, row in zip(self.pairs, self.gamma2)}
+
     @property
     def n_pairs(self) -> int:
-        return len(self.pair_gamma)
+        return len(self.pairs)
 
     @property
     def n_samples(self) -> int:
-        return next(iter(self.pair_gamma.values())).gamma2.size
+        return self.gamma2.shape[1]
 
     @property
     def window(self) -> int:
@@ -135,8 +144,8 @@ class SyncResult:
         rows = CsvRows(self._sample_fields())
         with open(path, "w", newline="") as fh:
             fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
-            for pair, series in self.pair_gamma.items():
-                fh.write(rows.text(pair, series.gamma2))
+            for pair, row in zip(self.pairs, self.gamma2):
+                fh.write(rows.text(pair, row))
 
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
@@ -186,7 +195,6 @@ class SyncResult:
             ("first_sample_date", str(self.meta.anchor)),
             ("n_pairs", str(self.n_pairs)),
             ("n_samples", str(self.n_samples)),
-            ("backend", active_backend()),
         ]
 
 
@@ -197,35 +205,14 @@ def write_metadata(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ContractError(
-                f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise ContractError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def run_pipeline(panel: Panel, config: PipelineConfig,
-                 workers: int | None = None) -> SyncResult:
+def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
     """Run the full synchronization analysis over a panel.
 
     Per series: optional linear detrend, band-pass, analytic signal. The
     phases are then edge-trimmed (when config.trim) and every unordered
     pair's phase difference is scored with the windowed index; ratios
-    count the fraction of pairs at or above each threshold.
-
-    workers sets pair-level thread parallelism; None reads the
-    PHASESYNC_WORKERS environment variable (default 1). Output is
-    deterministic regardless of worker count: pairs are merged in panel
-    order, and each pair's series is identical to a serial run.
+    count the fraction of pairs at or above each threshold (see
+    ratio_above for the comparison).
 
     Raises
     ------
@@ -239,50 +226,22 @@ def run_pipeline(panel: Panel, config: PipelineConfig,
             f"need >= 2 series for pairwise synchronization, got {len(panel)}"
         )
     config.validate_for(panel.n)
-    workers = _resolve_workers(workers)
 
-    phases = []
+    phases, trim_offset = [], 0
     for member in panel:
         try:
             x = member.values
             if config.detrend:
                 x = detrend_linear(x)
             filtered = bandpass(x, config.band)
-            phases.append(analytic_signal(filtered, config.amplitude_floor).phase)
+            phi = analytic_signal(filtered, config.amplitude_floor).phase
         except PhaseSyncError as exc:
             raise type(exc)(f"series '{member.id}': {exc}") from exc
+        if config.trim:
+            phi, trim_offset = trim_edges(phi, config.band)
+        phases.append(phi)
 
-    trim_offset = 0
-    if config.trim:
-        trimmed = []
-        for member, phi in zip(panel, phases):
-            phi_trimmed, trim_offset = trim_edges(phi, config.band)
-            trimmed.append(phi_trimmed)
-        phases = trimmed
-
-    pairs = list(combinations(range(len(panel)), 2))
-
-    def score(pair: tuple[int, int]) -> SyncSeries:
-        i, j = pair
-        try:
-            return sync_index_windowed(phase_difference(phases[i], phases[j]),
-                                       config.window)
-        except PhaseSyncError as exc:
-            raise type(exc)(
-                f"pair ('{panel.series[i].id}', '{panel.series[j].id}'): {exc}"
-            ) from exc
-
-    if workers == 1:
-        scored = [score(pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, pairs))
-
-    pair_gamma = {
-        (panel.series[i].id, panel.series[j].id): series
-        for (i, j), series in zip(pairs, scored)
-    }
-    ratios = _ratios(scored, config.thresholds)
+    gamma2 = pair_gamma2(np.vstack(phases), config.window)
 
     half_width = (config.window - 1) // 2
     meta = ResultMeta(
@@ -293,14 +252,16 @@ def run_pipeline(panel: Panel, config: PipelineConfig,
         trim_offset=trim_offset,
         anchor=panel.start + trim_offset + half_width,
     )
-    return SyncResult(pair_gamma=pair_gamma, ratios=ratios, meta=meta)
+    return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=gamma2,
+                      ratios=_ratios(gamma2, config.thresholds), meta=meta)
 
 
 def ratio_above(pair_gamma, r: float) -> np.ndarray:
     """Fraction of pair series at or above r at each time point.
 
     pair_gamma is a mapping or iterable of SyncSeries sharing one window
-    and length; the comparison is inclusive (gamma2 >= r).
+    and length. A pair counts when gamma2 >= r - RATIO_TOL (1e-12), so an
+    exactly locked pair, whose gamma2 rounds to just below 1, counts at r = 1.
     """
     if isinstance(pair_gamma, Mapping):
         series_list = list(pair_gamma.values())
@@ -318,13 +279,12 @@ def ratio_above(pair_gamma, r: float) -> np.ndarray:
                 f"{first.window} and length {len(first)}, got "
                 f"window {series.window} and length {len(series)}"
             )
-    return _ratios(series_list, (r,))[r]
+    return _ratios(np.vstack([series.gamma2 for series in series_list]), (r,))[r]
 
 
-def _ratios(series_list, thresholds) -> dict[float, np.ndarray]:
-    """Fraction of the pair series with gamma2 >= r at each time, per threshold r."""
-    stacked = np.vstack([series.gamma2 for series in series_list])
-    return {r: (stacked >= r).mean(axis=0) for r in thresholds}
+def _ratios(gamma2: np.ndarray, thresholds) -> dict[float, np.ndarray]:
+    """Fraction of the rows of (pairs x samples) gamma2 locked at each threshold r."""
+    return {r: (gamma2 >= r - RATIO_TOL).mean(axis=0) for r in thresholds}
 
 
 def normalize_di(series) -> np.ndarray:

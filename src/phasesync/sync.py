@@ -7,7 +7,7 @@ squared length of the mean unit phasor,
 
 which is 1 when the difference is constant and has expectation 1/W for W
 i.i.d. uniform phases. The windowed variant slides a centered odd-length
-window over psi.
+window over psi; pair_gamma2 scores every pair of a panel's phases at once.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import windowed_resultant_sq
 from .errors import ContractError
 
 
@@ -33,6 +33,16 @@ def phase_difference(phi1, phi2) -> np.ndarray:
             f"phase sequences differ in shape: {p1.shape} vs {p2.shape}"
         )
     return p1 - p2
+
+
+def windowed_resultant_sq(psi, window: int) -> np.ndarray:
+    """Squared mean resultant of every length-`window` slice of psi's last axis.
+
+    Values lie in [0, 1]. Each slice is summed on its own, so nothing drifts.
+    """
+    mean_c = sliding_window_view(np.cos(psi), window, axis=-1).mean(axis=-1)
+    mean_s = sliding_window_view(np.sin(psi), window, axis=-1).mean(axis=-1)
+    return np.minimum(mean_c * mean_c + mean_s * mean_s, 1.0)
 
 
 def sync_index_full(psi) -> float:
@@ -101,5 +111,23 @@ def sync_index_windowed(psi, window: int) -> SyncSeries:
         raise ContractError(
             f"window {window} exceeds sequence length {psi.size}"
         )
-    gamma2 = windowed_resultant_sq(np.cos(psi), np.sin(psi), int(window))
+    gamma2 = windowed_resultant_sq(psi, int(window))
     return SyncSeries(gamma2=gamma2, window=int(window))
+
+
+def pair_gamma2(phases: np.ndarray, window: int) -> np.ndarray:
+    """Windowed gamma2 of every pair of rows i < j of (members, n) phases.
+
+    Rows follow itertools.combinations order, and row (i, j) equals
+    sync_index_windowed(phases[i] - phases[j], window).gamma2. The caller
+    checks members >= 2 and the window. One call per member keeps
+    temporaries to one row of the pair triangle.
+    """
+    members, n = phases.shape
+    out = np.empty((members * (members - 1) // 2, n - window + 1))
+    start = 0
+    for i in range(members - 1):
+        stop = start + members - 1 - i
+        out[start:stop] = windowed_resultant_sq(phases[i] - phases[i + 1:], window)
+        start = stop
+    return out

@@ -1,13 +1,15 @@
 """End-to-end acceptance checks.
 
-Ten numbered criteria covering the full chain: Fourier analysis and
+Eleven numbered criteria covering the full chain: Fourier analysis and
 reconstruction, Hilbert identities, the locked sine pair, null
 calibration of the synchronization index, pair combinatorics, cutoff
-arithmetic, the coupled/uncoupled regime contrast, sweep stability, and
-the invariance suite. Each test prints one summary line; run with -s to
-see them. Timed tests exclude JIT compilation via the module warmup.
+arithmetic, the coupled/uncoupled regime contrast, sweep stability, the
+invariance suite, and exactly locked sines counting at r = 1 through the
+CLI. Each test prints one summary line; run with -s to see them. Timed
+tests exclude first-call costs via the module warmup.
 """
 
+import csv
 import time
 from itertools import combinations
 
@@ -34,8 +36,8 @@ from phasesync import (
     run_pipeline,
     sync_index_windowed,
     trim_edges,
-    warm_up,
 )
+from phasesync.cli import main as cli_main
 
 BAND = FilterBand(4, 18)
 
@@ -50,10 +52,8 @@ REGIME_SPEC = RegimeSpec(
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm():
-    # compile the windowed kernel (and touch the whole pipeline) so the
-    # timed criteria measure steady-state work, not JIT compilation
-    warm_up()
-    panel, _ = None, None
+    # touch the whole pipeline once so the timed criteria measure
+    # steady-state work
     panel = gen_regime_panel(2, RegimeSpec(segments=((60, "coupled"),), seed=0))
     run_pipeline(panel, PipelineConfig(band=FilterBand(2, 9), window=13))
 
@@ -305,3 +305,19 @@ def test_criterion_10_invariance_suite():
 
     print(f"criterion 10: PASS (amp {amp_err:.2e}, shift {shift_err:.2e}, "
           f"jumps {jump_err:.2e}, order {order_err:.2e}, monotone ratios)")
+
+
+def test_criterion_11_locked_sines_at_r_one(tmp_path):
+    assert cli_main(["gen", "--sine", "--n", "240", "--period", "30", "--members", "4",
+                     "--phase", "0,0.5,1,1.5", "--out", str(tmp_path)]) == 0
+    # no detrending, as in criterion 04: removing the least-squares line of
+    # a phase-shifted grid sinusoid breaks the lock (gamma2 down to 0.9998)
+    assert cli_main(["sync", str(tmp_path / "panel.csv"), "--kl", "4", "--ku", "18",
+                     "--window", "13", "--r", "1.0", "--no-detrend",
+                     "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "ratios.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "date", "R_1"]
+    assert len(rows) > 200
+    assert all(row[2] == "1" for row in rows[1:])
+    print(f"criterion 11: PASS (4 locked sines, R_1 = 1 in all {len(rows) - 1} months)")

@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 
 import pytest
 
@@ -244,6 +246,20 @@ class TestSweep:
                    "--windows", "11,13", "--bands", "5:17,4:18",
                    "--out", tmp_path / "s2") == 1
         assert "exactly one" in capsys.readouterr().err
+
+    def test_constant_ratio_series_gives_nan_without_warning(self, tmp_path):
+        # four locked sines: every pair is locked in every month, so each
+        # setting's R series is constant and has no correlation
+        assert run("gen", "--sine", "--n", 240, "--period", 30, "--members", 4,
+                   "--phase", "0,0.5,1,1.5", "--out", tmp_path) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("sweep", tmp_path / "panel.csv", "--kl", 4, "--ku", 18,
+                       "--windows", "11,13", "--out", tmp_path / "sw")
+        assert code == 0
+        rows = read_rows(tmp_path / "sw" / "stability.csv")
+        assert [row[:3] for row in rows[1:]] == [["W11", "W13", "0.7"], ["W11", "W13", "0.8"]]
+        assert all(math.isnan(float(row[3])) for row in rows[1:])
 
     def test_single_setting_rejected(self, regime_panel, tmp_path, capsys):
         assert run("sweep", regime_panel, "--kl", 4, "--ku", 18,

@@ -1,4 +1,5 @@
 import csv
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,13 +15,18 @@ from phasesync import (
     RegimeSpec,
     SyncSeries,
     TimeSeries,
+    analytic_signal,
     annotate_recessions,
+    bandpass,
+    detrend_linear,
     gen_regime_panel,
     normalize_di,
+    phase_difference,
     ratio_above,
     round_half_up,
     run_pipeline,
     sync_index_windowed,
+    trim_edges,
     write_metadata,
 )
 
@@ -89,22 +95,30 @@ class TestRunPipeline:
         for r in config.thresholds:
             np.testing.assert_array_equal(a.ratios[r], b.ratios[r])
 
-    def test_workers_do_not_change_output(self):
+    def test_gamma2_array_equals_per_pair_index(self):
         config = PipelineConfig(band=BAND, window=13)
-        panel = small_panel(5)
-        serial = run_pipeline(panel, config, workers=1)
-        threaded = run_pipeline(panel, config, workers=4)
-        for key in serial.pair_gamma:
-            np.testing.assert_array_equal(serial.pair_gamma[key].gamma2,
-                                          threaded.pair_gamma[key].gamma2)
+        panel = small_panel(6)
+        result = run_pipeline(panel, config)
+        phases = [trim_edges(analytic_signal(bandpass(detrend_linear(s.values), BAND)).phase,
+                             BAND)[0]
+                  for s in panel]
+        expected = np.vstack([
+            sync_index_windowed(phase_difference(phases[i], phases[j]), 13).gamma2
+            for i, j in combinations(range(len(panel)), 2)
+        ])
+        assert result.pairs == tuple(combinations(panel.ids, 2))
+        assert np.array_equal(result.gamma2, expected)
+        for pair, row in zip(result.pairs, result.gamma2):
+            assert result.pair_gamma[pair].window == 13
+            assert np.shares_memory(result.pair_gamma[pair].gamma2, row)
 
-    def test_workers_env_var(self, monkeypatch):
-        monkeypatch.setenv("PHASESYNC_WORKERS", "3")
+    def test_gamma2_array_read_only(self):
         result = run_pipeline(small_panel(3), PipelineConfig(band=BAND, window=13))
-        assert result.n_pairs == 3
-        monkeypatch.setenv("PHASESYNC_WORKERS", "zero")
-        with pytest.raises(ContractError, match="PHASESYNC_WORKERS"):
-            run_pipeline(small_panel(3), PipelineConfig(band=BAND, window=13))
+        assert not result.gamma2.flags.writeable
+        with pytest.raises(ValueError):
+            result.gamma2[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            result.pair_gamma[result.pairs[0]].gamma2[0] = 0.5
 
     def test_trim_bookkeeping(self):
         panel = small_panel(3, n=240)
@@ -205,6 +219,11 @@ class TestRatioAbove:
     def test_inclusive_comparison(self):
         series = self.make([0.7], [0.69999])
         np.testing.assert_allclose(ratio_above(series, 0.7), [0.5])
+
+    def test_rounding_tie_counts(self):
+        # a constant phase difference scores 0.9999999999999996, not 1
+        series = self.make([0.9999999999999996], [1.0 - 1e-9])
+        np.testing.assert_array_equal(ratio_above(series, 1.0), [0.5])
 
     def test_accepts_mapping(self):
         mapping = {("a", "b"): SyncSeries(gamma2=np.array([1.0]), window=13)}
@@ -350,7 +369,6 @@ class TestResultOutputs:
         assert as_dict["thresholds"] == "0.7,0.8"
         assert as_dict["trim_offset"] == str(round_half_up(120 / 9))
         assert as_dict["first_sample_date"] == str(result.meta.anchor)
-        assert as_dict["backend"] in ("numba", "numpy")
         path = tmp_path / "metadata.txt"
         write_metadata(path, items)
         lines = path.read_text().splitlines()

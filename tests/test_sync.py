@@ -9,6 +9,7 @@ from phasesync import (
     sync_index_full,
     sync_index_windowed,
 )
+from phasesync.sync import windowed_resultant_sq
 
 
 def wrap(psi):
@@ -21,6 +22,30 @@ def direct_windowed(psi, window):
         chunk = psi[i:i + window]
         out[i] = np.cos(chunk).mean() ** 2 + np.sin(chunk).mean() ** 2
     return np.minimum(out, 1.0)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(99)
+    yield rng.uniform(-np.pi, np.pi, size=500), 13
+    yield rng.normal(scale=20.0, size=301), 17
+    yield np.full(100, 0.7), 11
+    # adversarial for running sums: nearly constant over a long series
+    yield 0.7 + 1e-9 * rng.normal(size=5000), 13
+
+
+class TestWindowedResultant:
+    @pytest.mark.parametrize("psi,window", list(oracle_cases()))
+    def test_matches_direct(self, psi, window):
+        np.testing.assert_allclose(windowed_resultant_sq(psi, window),
+                                   direct_windowed(psi, window), atol=1e-12)
+
+    def test_clamped_to_one(self):
+        # unclamped, a constant 0.3 scores 1 + 4.4e-16
+        for value in (1.234, 0.3):
+            got = windowed_resultant_sq(np.full(64, value), 13)
+            assert np.all(got <= 1.0)
+            np.testing.assert_allclose(got, 1.0, atol=1e-12)
+
 
 
 class TestPhaseDifference:
