@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,30 +27,29 @@ from .panel import (
     csv_line,
     load_panel_csv,
     load_recession_csv,
-    periods_of_band,
-    round_half_up,
     write_panel_csv,
 )
-from .pipeline import PipelineConfig, annotate_recessions, run_pipeline, write_metadata
+from .pipeline import (
+    PipelineConfig,
+    annotate_recessions,
+    band_items,
+    run_pipeline,
+    write_metadata,
+)
 from .spectral import bandpass, detrend_linear
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 DEFAULT_THRESHOLDS = (0.7, 0.8)
 
 
-def _sha256(path) -> str:
+def _header_items(args) -> list[tuple[str, str]]:
+    """The items that open every metadata.txt: command, input path and its SHA-256."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open(args.input, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _add_band_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kl", type=int, help="lower cutoff (cycles per record)")
-    parser.add_argument("--ku", type=int, help="upper cutoff (cycles per record)")
-    parser.add_argument("--longest", type=float, help="longest period kept, months")
-    parser.add_argument("--shortest", type=float, help="shortest period kept, months")
+    return [("command", args.command), ("input", str(args.input)),
+            ("input_sha256", digest.hexdigest())]
 
 
 def _resolve_band(args, n: int) -> FilterBand:
@@ -76,16 +76,9 @@ def _thresholds(args) -> tuple[float, ...]:
     return tuple(sorted(set(args.r)))
 
 
-def _period_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
-    shortest, longest = periods_of_band(n, band)
-    return [
-        ("band_lower", str(band.lower)),
-        ("band_upper", str(band.upper)),
-        ("shortest_period_months", format(shortest, ".12g")),
-        ("longest_period_months", format(longest, ".12g")),
-        ("shortest_period_rounded", str(round_half_up(shortest))),
-        ("longest_period_rounded", str(round_half_up(longest))),
-    ]
+def _config(args, band: FilterBand, window: int) -> PipelineConfig:
+    return PipelineConfig(band=band, window=window, thresholds=_thresholds(args),
+                          detrend=args.detrend, trim=args.trim)
 
 
 class _OutputTracker:
@@ -116,27 +109,17 @@ def cmd_filter(args, out: _OutputTracker) -> None:
         x = detrend_linear(member.values) if args.detrend else member.values
         filtered.append(TimeSeries(member.id, member.start, bandpass(x, band)))
     write_panel_csv(Panel(tuple(filtered)), out.target("filtered.csv"))
-    items = [
-        ("command", "filter"),
-        ("input", str(args.input)),
-        ("input_sha256", _sha256(args.input)),
+    items = _header_items(args) + [
         ("n_series", str(len(panel))),
         ("n_months", str(panel.n)),
         ("detrend", str(args.detrend).lower()),
-    ] + _period_items(panel.n, band)
+    ] + band_items(panel.n, band)
     write_metadata(out.target("metadata.txt"), items)
 
 
 def cmd_sync(args, out: _OutputTracker) -> None:
     panel = load_panel_csv(args.input)
-    band = _resolve_band(args, panel.n)
-    config = PipelineConfig(
-        band=band,
-        window=args.window,
-        thresholds=_thresholds(args),
-        detrend=args.detrend,
-        trim=args.trim,
-    )
+    config = _config(args, _resolve_band(args, panel.n), args.window)
     result = run_pipeline(panel, config)
 
     labels = None
@@ -154,12 +137,8 @@ def cmd_sync(args, out: _OutputTracker) -> None:
     result.write_gamma_csv(out.target("gamma2.csv"))
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))
-    items = [
-        ("command", "sync"),
-        ("input", str(args.input)),
-        ("input_sha256", _sha256(args.input)),
-    ] + result.meta_items() + _period_items(panel.n, band)[2:] + regime_items
-    write_metadata(out.target("metadata.txt"), items)
+    write_metadata(out.target("metadata.txt"),
+                   _header_items(args) + result.meta_items() + regime_items)
 
 
 def _parse_windows(text: str) -> tuple[int, ...]:
@@ -192,73 +171,67 @@ def _parse_bands(text: str) -> tuple[FilterBand, ...]:
 def cmd_sweep(args, out: _OutputTracker) -> None:
     if (args.windows is None) == (args.bands is None):
         raise ContractError("give exactly one of --windows or --bands")
+    if args.windows is not None and args.window is not None:
+        raise ContractError("--window does not apply to a --windows sweep")
+    for flag in ("kl", "ku", "longest", "shortest"):
+        if args.bands is not None and getattr(args, flag) is not None:
+            raise ContractError(f"--{flag} does not apply to a --bands sweep")
+    if args.bands is not None and args.window is None:
+        raise ContractError("--bands sweep needs --window")
     panel = load_panel_csv(args.input)
     thresholds = _thresholds(args)
 
-    settings: list[tuple[str, PipelineConfig]] = []
+    # the axis held fixed is recorded in the metadata
     if args.windows is not None:
         band = _resolve_band(args, panel.n)
-        for w in _parse_windows(args.windows):
-            settings.append((f"W{w}", PipelineConfig(
-                band=band, window=w, thresholds=thresholds,
-                detrend=args.detrend, trim=args.trim,
-            )))
+        settings = [(f"W{w}", _config(args, band, w)) for w in _parse_windows(args.windows)]
+        fixed_items = band_items(panel.n, band)
     else:
-        if args.window is None:
-            raise ContractError("--bands sweep needs --window")
-        for band in _parse_bands(args.bands):
-            band.validate_for(panel.n)
-            settings.append((f"kl{band.lower}_ku{band.upper}", PipelineConfig(
-                band=band, window=args.window, thresholds=thresholds,
-                detrend=args.detrend, trim=args.trim,
-            )))
+        settings = [(f"kl{band.lower}_ku{band.upper}", _config(args, band, args.window))
+                    for band in _parse_bands(args.bands)]
+        fixed_items = [("window", str(args.window))]
+    for _, config in settings:
+        config.validate_for(panel.n)
 
-    results = []
+    kept = []  # (label, first month, thresholds x samples R); no gamma2 is kept
     for label, config in settings:
         result = run_pipeline(panel, config)
         result.write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
-        results.append((label, result))
+        kept.append((label, result.month_of(0),
+                     np.vstack([result.ratios[r] for r in thresholds])))
+        del result  # free this setting's gamma2 before the next one is scored
 
-    # common support: months covered by every setting (trim and window vary)
-    month_maps = [
-        {result.month_of(i): i for i in range(result.n_samples)}
-        for _, result in results
-    ]
-    common = sorted(set(month_maps[0]).intersection(*month_maps[1:]))
-    if not common:
+    # common support: months covered by every setting (trim and window vary);
+    # each setting's samples are consecutive months from its first month
+    first = max(month for _, month, _ in kept)
+    last = min(month + (ratios.shape[1] - 1) for _, month, ratios in kept)
+    if last < first:
         raise ContractError("sweep settings share no common months")
+    common = [(label, ratios[:, first - month:last - month + 1])
+              for label, month, ratios in kept]
 
     with open(out.target("stability.csv"), "w", newline="") as fh:
         fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]))
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                label_a, res_a = results[i]
-                label_b, res_b = results[j]
-                idx_a = [month_maps[i][m] for m in common]
-                idx_b = [month_maps[j][m] for m in common]
-                for r in thresholds:
-                    series_a = res_a.ratios[r][idx_a]
-                    series_b = res_b.ratios[r][idx_b]
-                    if np.ptp(series_a) == 0.0 or np.ptp(series_b) == 0.0:
-                        pearson = float("nan")  # undefined: an R series is constant
-                    else:
-                        pearson = float(np.corrcoef(series_a, series_b)[0, 1])
-                    fh.write(csv_line([label_a, label_b, format(r, "g"),
-                                       format(pearson, ".12g")]))
+        for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
+            for r, a, b in zip(thresholds, ratios_a, ratios_b):
+                if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+                    pearson = float("nan")  # undefined: an R series is constant
+                else:
+                    pearson = float(np.corrcoef(a, b)[0, 1])
+                fh.write(csv_line([label_a, label_b, format(r, "g"),
+                                   format(pearson, ".12g")]))
 
-    items = [
-        ("command", "sweep"),
-        ("input", str(args.input)),
-        ("input_sha256", _sha256(args.input)),
+    items = _header_items(args) + [
         ("n_series", str(len(panel))),
         ("n_months", str(panel.n)),
         ("settings", ",".join(label for label, _ in settings)),
+        *fixed_items,
         ("thresholds", ",".join(format(r, "g") for r in thresholds)),
         ("detrend", str(args.detrend).lower()),
         ("trim", str(args.trim).lower()),
-        ("common_months", str(len(common))),
-        ("common_first", str(common[0])),
-        ("common_last", str(common[-1])),
+        ("common_months", str(last - first + 1)),
+        ("common_first", str(first)),
+        ("common_last", str(last)),
     ]
     write_metadata(out.target("metadata.txt"), items)
 
@@ -331,37 +304,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_filter = sub.add_parser("filter", help="band-pass every series of a panel")
-    p_filter.add_argument("input", help="panel CSV (date,<id>,... header)")
-    _add_band_flags(p_filter)
-    p_filter.add_argument("--detrend", action=argparse.BooleanOptionalAction,
-                          default=True, help="subtract least-squares line first")
-    p_filter.add_argument("--out", default=".", help="output directory")
+    # flags shared by filter, sync and sweep, then by sync and sweep
+    panel_flags = argparse.ArgumentParser(add_help=False)
+    panel_flags.add_argument("input", help="panel CSV (date,<id>,... header)")
+    panel_flags.add_argument("--kl", type=int, help="lower cutoff (cycles per record)")
+    panel_flags.add_argument("--ku", type=int, help="upper cutoff (cycles per record)")
+    panel_flags.add_argument("--longest", type=float, help="longest period kept, months")
+    panel_flags.add_argument("--shortest", type=float, help="shortest period kept, months")
+    panel_flags.add_argument("--detrend", action=argparse.BooleanOptionalAction,
+                             default=True, help="subtract least-squares line first")
+    panel_flags.add_argument("--out", default=".", help="output directory")
+    pair_flags = argparse.ArgumentParser(add_help=False)
+    pair_flags.add_argument("--r", type=float, action="append",
+                            help="ratio threshold in [0,1], repeatable "
+                                 "(default 0.7 and 0.8)")
+    pair_flags.add_argument("--trim", action=argparse.BooleanOptionalAction, default=True,
+                            help="drop filter edge effects before pairing")
 
-    p_sync = sub.add_parser("sync", help="all-pairs synchronization pipeline")
-    p_sync.add_argument("input", help="panel CSV")
-    _add_band_flags(p_sync)
+    sub.add_parser("filter", parents=[panel_flags],
+                   help="band-pass every series of a panel")
+
+    p_sync = sub.add_parser("sync", parents=[panel_flags, pair_flags],
+                            help="all-pairs synchronization pipeline")
     p_sync.add_argument("--window", type=int, required=True,
                         help="odd moving-window length, months")
-    p_sync.add_argument("--r", type=float, action="append",
-                        help="ratio threshold in [0,1], repeatable "
-                             "(default 0.7 and 0.8)")
-    p_sync.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=True)
-    p_sync.add_argument("--trim", action=argparse.BooleanOptionalAction, default=True,
-                        help="drop filter edge effects before pairing")
     p_sync.add_argument("--calendar", help="recession calendar CSV (peak,trough)")
-    p_sync.add_argument("--out", default=".", help="output directory")
 
-    p_sweep = sub.add_parser("sweep", help="repeat sync across windows or bands")
-    p_sweep.add_argument("input", help="panel CSV")
-    _add_band_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[panel_flags, pair_flags],
+                             help="repeat sync across windows or bands")
     p_sweep.add_argument("--window", type=int, help="window for a --bands sweep")
     p_sweep.add_argument("--windows", help="comma list, e.g. 11,13,15")
     p_sweep.add_argument("--bands", help="comma list of lower:upper, e.g. 5:17,4:18")
-    p_sweep.add_argument("--r", type=float, action="append")
-    p_sweep.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=True)
-    p_sweep.add_argument("--trim", action=argparse.BooleanOptionalAction, default=True)
-    p_sweep.add_argument("--out", default=".", help="output directory")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic panel CSV")
     p_gen.add_argument("--sine", action="store_true",

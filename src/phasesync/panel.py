@@ -237,8 +237,10 @@ def load_panel_csv(path) -> Panel:
     """Read a panel from CSV with header ``date,<id1>,<id2>,...``.
 
     Dates must be YYYY-MM and strictly consecutive months. Every cell must
-    be a finite number; errors name the offending row (1-based, header = row 1)
-    and column.
+    be a finite number. Errors name the offending row (1-based, header =
+    row 1) and column. Problems with a row's shape (its cell count or its
+    date) are reported before any bad cell value, whichever row holds it;
+    among bad cells, the first in file order is reported.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -257,7 +259,6 @@ def load_panel_csv(path) -> Panel:
             raise IngestionError(f"{path}: row 1: blank column id")
 
     months: list[Month] = []
-    columns: list[list[float]] = [[] for _ in ids]
     for rownum, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise IngestionError(
@@ -273,37 +274,37 @@ def load_panel_csv(path) -> Panel:
                 f"({months[-1]} followed by {m})"
             )
         months.append(m)
-        for col, (sid, cell) in enumerate(zip(ids, row[1:])):
-            if cell.strip() == "":
-                raise IngestionError(
-                    f"{path}: row {rownum}, column '{sid}': missing value"
-                )
-            try:
-                columns[col].append(float(cell))
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: row {rownum}, column '{sid}': "
-                    f"non-numeric value {cell!r}"
-                ) from None
-
     if len(months) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, got {len(months)}")
-    values = np.array(columns)
-    del columns  # free the per-cell Python floats before TimeSeries copies the values
-    finite = np.isfinite(values)
-    if not finite.all():
-        # first bad cell in file order: earliest row, then leftmost column
-        row, col = np.argwhere(~finite.T)[0]
-        raise IngestionError(
-            f"{path}: row {row + 2}, column '{ids[col]}': "
-            f"non-finite value {rows[row + 1][col + 1]!r}"
-        )
+
+    cells = [row[1:] for row in rows[1:]]
+    del rows  # free the row lists and dates before the float block is built
+    try:
+        values = np.array(cells, dtype=float)  # float() of each cell
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise _bad_cell(path, ids, cells)
     try:
         return Panel(tuple(
-            TimeSeries(sid, months[0], vals) for sid, vals in zip(ids, values)
+            TimeSeries(sid, months[0], vals) for sid, vals in zip(ids, values.T)
         ))
     except ContractError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
+
+
+def _bad_cell(path, ids, cells) -> IngestionError:
+    """The error for the first missing, non-numeric or non-finite cell in file order."""
+    for rownum, row in enumerate(cells, start=2):
+        for sid, cell in zip(ids, row):
+            try:
+                if math.isfinite(float(cell)):
+                    continue
+                problem = f"non-finite value {cell!r}"
+            except ValueError:
+                problem = f"non-numeric value {cell!r}" if cell.strip() else "missing value"
+            return IngestionError(f"{path}: row {rownum}, column '{sid}': {problem}")
+    raise AssertionError("no bad cell, yet the cells did not convert to finite floats")
 
 
 def csv_field(text: str) -> str:

@@ -176,15 +176,11 @@ class SyncResult:
     def meta_items(self) -> list[tuple[str, str]]:
         """Key-value pairs describing this run, for the metadata sidecar."""
         cfg = self.meta.config
-        shortest, longest = periods_of_band(self.meta.n_months, cfg.band)
         return [
             ("n_series", str(self.meta.n_series)),
             ("n_months", str(self.meta.n_months)),
             ("panel_start", str(self.meta.panel_start)),
-            ("band_lower", str(cfg.band.lower)),
-            ("band_upper", str(cfg.band.upper)),
-            ("shortest_period_months", format(shortest, ".12g")),
-            ("longest_period_months", format(longest, ".12g")),
+            *band_items(self.meta.n_months, cfg.band),
             ("window", str(cfg.window)),
             ("thresholds", ",".join(format(r, "g") for r in cfg.thresholds)),
             ("detrend", str(cfg.detrend).lower()),
@@ -196,6 +192,20 @@ class SyncResult:
             ("n_pairs", str(self.n_pairs)),
             ("n_samples", str(self.n_samples)),
         ]
+
+
+def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
+    """Metadata items of a band on a length-n panel: its cutoffs and the
+    periods in months that bound it, exact and rounded half up."""
+    shortest, longest = periods_of_band(n, band)
+    return [
+        ("band_lower", str(band.lower)),
+        ("band_upper", str(band.upper)),
+        ("shortest_period_months", format(shortest, ".12g")),
+        ("longest_period_months", format(longest, ".12g")),
+        ("shortest_period_rounded", str(round_half_up(shortest))),
+        ("longest_period_rounded", str(round_half_up(longest))),
+    ]
 
 
 def write_metadata(path, items) -> None:

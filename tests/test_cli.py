@@ -261,10 +261,64 @@ class TestSweep:
         assert [row[:3] for row in rows[1:]] == [["W11", "W13", "0.7"], ["W11", "W13", "0.8"]]
         assert all(math.isnan(float(row[3])) for row in rows[1:])
 
+    def test_window_sweep_records_its_band(self, regime_panel, tmp_path):
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--longest", 60, "--shortest", 15,
+                   "--windows", "11,13", "--out", out) == 0
+        meta = read_meta(out / "metadata.txt")
+        assert (meta["band_lower"], meta["band_upper"]) == ("4", "16")
+        assert meta["shortest_period_months"] == "15"
+        assert meta["longest_period_months"] == "60"
+        assert (meta["shortest_period_rounded"], meta["longest_period_rounded"]) == ("15", "60")
+        assert "window" not in meta
+
+    def test_band_sweep_records_its_window(self, regime_panel, tmp_path):
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--bands", "5:17,4:18",
+                   "--window", 13, "--out", out) == 0
+        meta = read_meta(out / "metadata.txt")
+        assert meta["window"] == "13"
+        assert "band_lower" not in meta
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kl", 3), ("--ku", 20), ("--longest", 80), ("--shortest", 12),
+    ])
+    def test_band_sweep_rejects_band_flag(self, regime_panel, tmp_path, capsys,
+                                          flag, value):
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--bands", "5:17,4:18", "--window", 13,
+                   flag, value, "--out", out) == 1
+        assert f"{flag} does not apply to a --bands sweep" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_window_sweep_rejects_window(self, regime_panel, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--kl", 4, "--ku", 18, "--windows", "11,13",
+                   "--window", 13, "--out", out) == 1
+        assert "--window does not apply to a --windows sweep" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_single_setting_rejected(self, regime_panel, tmp_path, capsys):
         assert run("sweep", regime_panel, "--kl", 4, "--ku", 18,
                    "--windows", "13", "--out", tmp_path / "sweep") == 1
         assert "at least two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("filter", "--longest", 60, "--shortest", 15),
+    ("sync", "--kl", 4, "--ku", 18, "--window", 13, "--calendar", "{calendar}"),
+    ("sweep", "--kl", 4, "--ku", 18, "--windows", "11,13"),
+    ("sweep", "--bands", "5:17,4:18", "--window", 13),
+], ids=["filter", "sync-calendar", "sweep-windows", "sweep-bands"])
+def test_metadata_keys_written_once(regime_panel, tmp_path, argv):
+    calendar = tmp_path / "cal.csv"
+    calendar.write_text("peak,trough\n1982-07,1983-11\n")
+    out = tmp_path / "out"
+    argv = [str(calendar) if a == "{calendar}" else a for a in argv]
+    assert run(argv[0], regime_panel, *argv[1:], "--out", out) == 0
+    keys = [line.split(" = ", 1)[0]
+            for line in (out / "metadata.txt").read_text().splitlines()]
+    assert len(keys) == len(set(keys)), sorted(k for k in keys if keys.count(k) > 1)
 
 
 class TestMainContract:

@@ -247,6 +247,24 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match=r"row 3, column 'b'"):
             load_panel_csv(path)
 
+    def test_first_bad_cell_of_any_kind_in_file_order(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a,b\n2000-01,1,nan\n2000-02,oops,2\n2000-03,,4\n")
+        with pytest.raises(IngestionError, match=r"row 2, column 'b': non-finite value 'nan'"):
+            load_panel_csv(path)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2000-03,5", r"row 4: expected 3 cells, got 2"),
+        ("2000-04,5,6", r"row 4: non-consecutive calendar months"),
+        ("2000/03,5,6", r"row 4: expected YYYY-MM date"),
+    ])
+    def test_row_shape_reported_before_earlier_bad_cell(self, tmp_path, bad_row, message):
+        # row 2 holds a non-numeric cell, yet the later row's shape is reported
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a,b\n2000-01,oops,2\n2000-02,3,4\n{bad_row}\n")
+        with pytest.raises(IngestionError, match=message):
+            load_panel_csv(path)
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,a,b\n2000-01,1,2\n2000-02,3\n")

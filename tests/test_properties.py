@@ -1,12 +1,17 @@
-"""Property tests of the all-pairs array path: pair_gamma2 and the ratios."""
+"""Property tests of the all-pairs array path (pair_gamma2 and the ratios)
+and of the panel CSV round trip."""
 
+import string
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from phasesync.panel import Month, Panel, TimeSeries, load_panel_csv, write_panel_csv
 from phasesync.pipeline import RATIO_TOL, _ratios
 from phasesync.sync import pair_gamma2
 
@@ -79,3 +84,36 @@ def test_ratio_unchanged_by_common_phase_shift(panel, thresholds, shift):
     phases, window = panel
     assert_same_ratios(pair_gamma2(phases, window),
                        pair_gamma2(phases + shift, window), thresholds)
+
+
+# id characters: plain ones, ones that make csv.writer quote the field, and
+# % (escaped in the writer's %-templates)
+ID_CHARS = string.ascii_letters + string.digits + ' _-.,"%\r\n'
+
+
+@st.composite
+def csv_panels(draw):
+    """Small panels of any finite values, from any start month, with ids
+    that may need quoting or hold %."""
+    ids = draw(st.lists(st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=6),
+                        min_size=1, max_size=4, unique=True))
+    start = Month(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)))
+    values = draw(arrays(float, (len(ids), draw(st.integers(2, 30))),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return Panel(tuple(TimeSeries(sid, start, row) for sid, row in zip(ids, values)))
+
+
+@PROPERTY
+@given(csv_panels())
+def test_panel_csv_round_trip(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_panel_csv(panel, first)
+        loaded = load_panel_csv(first)
+        write_panel_csv(loaded, second)
+        assert loaded.ids == panel.ids
+        assert (loaded.start, loaded.n) == (panel.start, panel.n)
+        for got, written in zip(loaded, panel):
+            want = [float(format(v, ".12g")) for v in written.values]
+            np.testing.assert_array_equal(got.values, want)
+        assert second.read_bytes() == first.read_bytes()
