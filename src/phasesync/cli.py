@@ -25,6 +25,7 @@ from .panel import (
     TimeSeries,
     band_from_periods,
     csv_line,
+    first_repeated,
     load_panel_csv,
     load_recession_csv,
     write_panel_csv,
@@ -73,7 +74,17 @@ def _resolve_band(args, n: int) -> FilterBand:
 def _thresholds(args) -> tuple[float, ...]:
     if not args.r:
         return DEFAULT_THRESHOLDS
-    return tuple(sorted(set(args.r)))
+    thresholds = tuple(sorted(set(args.r)))
+    # the label names the R column and the metadata keys, so it must be unique
+    labels: dict[str, float] = {}
+    for r in thresholds:
+        other = labels.setdefault(format(r, "g"), r)
+        if other != r:
+            raise ContractError(
+                f"--r {other!r} and --r {r!r} both print as {format(r, 'g')}: "
+                f"thresholds must differ in their first 6 significant digits"
+            )
+    return thresholds
 
 
 def _config(args, band: FilterBand, window: int) -> PipelineConfig:
@@ -148,6 +159,9 @@ def _parse_windows(text: str) -> tuple[int, ...]:
         raise ContractError(f"--windows expects comma-separated integers, got {text!r}") from None
     if len(values) < 2:
         raise ContractError("--windows needs at least two values to compare")
+    repeated = first_repeated(values)
+    if repeated is not None:
+        raise ContractError(f"--windows repeats the window {repeated}")
     return values
 
 
@@ -165,6 +179,9 @@ def _parse_bands(text: str) -> tuple[FilterBand, ...]:
             raise ContractError(f"bad band {part!r}: cutoffs must be integers") from None
     if len(bands) < 2:
         raise ContractError("--bands needs at least two values to compare")
+    repeated = first_repeated(bands)
+    if repeated is not None:
+        raise ContractError(f"--bands repeats the band {repeated.lower}:{repeated.upper}")
     return tuple(bands)
 
 
@@ -178,17 +195,19 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
             raise ContractError(f"--{flag} does not apply to a --bands sweep")
     if args.bands is not None and args.window is None:
         raise ContractError("--bands sweep needs --window")
+    windows = _parse_windows(args.windows) if args.windows is not None else None
+    bands = _parse_bands(args.bands) if args.bands is not None else None
     panel = load_panel_csv(args.input)
     thresholds = _thresholds(args)
 
     # the axis held fixed is recorded in the metadata
-    if args.windows is not None:
+    if windows is not None:
         band = _resolve_band(args, panel.n)
-        settings = [(f"W{w}", _config(args, band, w)) for w in _parse_windows(args.windows)]
+        settings = [(f"W{w}", _config(args, band, w)) for w in windows]
         fixed_items = band_items(panel.n, band)
     else:
         settings = [(f"kl{band.lower}_ku{band.upper}", _config(args, band, args.window))
-                    for band in _parse_bands(args.bands)]
+                    for band in bands]
         fixed_items = [("window", str(args.window))]
     for _, config in settings:
         config.validate_for(panel.n)

@@ -107,9 +107,8 @@ class Panel:
         members = tuple(self.series)
         if not members:
             raise ContractError("panel needs at least one series")
-        ids = [s.id for s in members]
-        if len(set(ids)) != len(ids):
-            dup = next(x for x in ids if ids.count(x) > 1)
+        dup = first_repeated([s.id for s in members])
+        if dup is not None:
             raise ContractError(f"duplicate series id '{dup}'")
         first = members[0]
         for s in members[1:]:
@@ -233,6 +232,12 @@ class RecessionCalendar:
         return any(p + 1 <= last and t >= first for p, t in self.episodes)
 
 
+# panel rows per block when a panel CSV is read or written: on a 150-member
+# panel one block's strings, floats and text take a few MB, never a copy of
+# the whole file
+_PANEL_BLOCK_ROWS = 256
+
+
 def load_panel_csv(path) -> Panel:
     """Read a panel from CSV with header ``date,<id1>,<id2>,...``.
 
@@ -241,61 +246,90 @@ def load_panel_csv(path) -> Panel:
     row 1) and column. Problems with a row's shape (its cell count or its
     date) are reported before any bad cell value, whichever row holds it;
     among bad cells, the first in file order is reported.
+
+    The file is read in one pass: each row's shape is checked as it
+    arrives, and the cells are converted in blocks of _PANEL_BLOCK_ROWS
+    rows, so only one block is ever held as strings.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestionError(f"{path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "date":
-        raise IngestionError(f"{path}: row 1: header must start with 'date'")
-    ids = header[1:]
-    if not ids:
-        raise IngestionError(f"{path}: row 1: no series columns after 'date'")
-    for sid in ids:
-        if ids.count(sid) > 1:
-            raise IngestionError(f"{path}: row 1: duplicate column id '{sid}'")
-        if not sid:
-            raise IngestionError(f"{path}: row 1: blank column id")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file")
+        if not header or header[0] != "date":
+            raise IngestionError(f"{path}: row 1: header must start with 'date'")
+        ids = header[1:]
+        if not ids:
+            raise IngestionError(f"{path}: row 1: no series columns after 'date'")
+        dup = first_repeated(ids)
+        for sid in ids:
+            if sid == dup:
+                raise IngestionError(f"{path}: row 1: duplicate column id '{sid}'")
+            if not sid:
+                raise IngestionError(f"{path}: row 1: blank column id")
 
-    months: list[Month] = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}"
-            )
-        try:
-            m = Month.parse(row[0])
-        except ContractError as exc:
-            raise IngestionError(f"{path}: row {rownum}: {exc}") from exc
-        if months and m - months[-1] != 1:
-            raise IngestionError(
-                f"{path}: row {rownum}: non-consecutive calendar months "
-                f"({months[-1]} followed by {m})"
-            )
-        months.append(m)
-    if len(months) < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows, got {len(months)}")
+        first = prev = None
+        count = 0
+        blocks: list[np.ndarray] = []  # float rows of each converted block
+        block: list[list[str]] = []  # cells of the rows not yet converted
+        bad = None  # error for the first bad cell; raised after the shape checks
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                m = Month.parse(row[0])
+            except ContractError as exc:
+                raise IngestionError(f"{path}: row {rownum}: {exc}") from exc
+            if prev is None:
+                first = m
+            elif m - prev != 1:
+                raise IngestionError(
+                    f"{path}: row {rownum}: non-consecutive calendar months "
+                    f"({prev} followed by {m})"
+                )
+            prev = m
+            count += 1
+            if bad is None:
+                block.append(row[1:])
+                if len(block) == _PANEL_BLOCK_ROWS:
+                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, blocks)
+                    block = []
+    if count < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows, got {count}")
+    if bad is None and block:
+        bad = _convert_block(path, ids, block, count + 2 - len(block), blocks)
+    del block  # the last block's strings
+    if bad is not None:
+        raise bad
 
-    cells = [row[1:] for row in rows[1:]]
-    del rows  # free the row lists and dates before the float block is built
-    try:
-        values = np.array(cells, dtype=float)  # float() of each cell
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        raise _bad_cell(path, ids, cells)
+    values = np.concatenate(blocks)
+    del blocks  # free the per-block arrays before each series copies its column
     try:
         return Panel(tuple(
-            TimeSeries(sid, months[0], vals) for sid, vals in zip(ids, values.T)
+            TimeSeries(sid, first, vals) for sid, vals in zip(ids, values.T)
         ))
     except ContractError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
 
-def _bad_cell(path, ids, cells) -> IngestionError:
+def _convert_block(path, ids, cells, first_row, blocks) -> IngestionError | None:
+    """Append the float rows of `cells` to `blocks`, or return the error for
+    its first bad cell; `first_row` is the file row of its first row."""
+    try:
+        values = np.array(cells, dtype=float)  # float() of each cell
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        return _bad_cell(path, ids, cells, first_row)
+    blocks.append(values)
+    return None
+
+
+def _bad_cell(path, ids, cells, first_row) -> IngestionError:
     """The error for the first missing, non-numeric or non-finite cell in file order."""
-    for rownum, row in enumerate(cells, start=2):
+    for rownum, row in enumerate(cells, start=first_row):
         for sid, cell in zip(ids, row):
             try:
                 if math.isfinite(float(cell)):
@@ -305,6 +339,14 @@ def _bad_cell(path, ids, cells) -> IngestionError:
                 problem = f"non-numeric value {cell!r}" if cell.strip() else "missing value"
             return IngestionError(f"{path}: row {rownum}, column '{sid}': {problem}")
     raise AssertionError("no bad cell, yet the cells did not convert to finite floats")
+
+
+def first_repeated(items):
+    """The first item, in order, that occurs more than once in `items`, or None."""
+    seen, repeated = set(), set()
+    for item in items:
+        (repeated if item in seen else seen).add(item)
+    return next((item for item in items if item in repeated), None)
 
 
 def csv_field(text: str) -> str:
@@ -343,11 +385,6 @@ class CsvRows:
 def _template_fields(fields) -> str:
     """Quoted fields, each followed by a comma, with % escaped for a %-template."""
     return "".join(csv_field(f).replace("%", "%%") + "," for f in fields)
-
-
-# panel rows per CsvRows block: on a 150-member panel one block's template,
-# floats and text take a few MB, never a copy of the whole file
-_PANEL_BLOCK_ROWS = 256
 
 
 def write_panel_csv(panel: Panel, path) -> None:

@@ -198,6 +198,18 @@ class TestSync:
         assert not (out / "ratios_long.csv").exists()
         assert not (out / "metadata.txt").exists()
 
+    def test_thresholds_with_one_label_rejected(self, regime_panel, tmp_path, capsys):
+        # both print as 0.7, which would name two R columns and two metadata keys alike
+        calendar = tmp_path / "cal.csv"
+        calendar.write_text("peak,trough\n1982-07,1983-11\n")
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--r", 0.7, "--r", 0.70000000000001, "--calendar", calendar,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "--r 0.7 and --r 0.70000000000001 both print as 0.7" in err
+        assert list(out.iterdir()) == []
+
     def test_no_trim_no_detrend_flags(self, regime_panel, tmp_path):
         out = tmp_path / "sync"
         assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
@@ -296,6 +308,18 @@ class TestSweep:
         assert run("sweep", regime_panel, "--kl", 4, "--ku", 18, "--windows", "11,13",
                    "--window", 13, "--out", out) == 1
         assert "--window does not apply to a --windows sweep" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("axis, message", [
+        (("--kl", 4, "--ku", 18, "--windows", "11,13,11"), "--windows repeats the window 11"),
+        (("--bands", "4:18,5:17,04:18", "--window", 13), "--bands repeats the band 4:18"),
+    ], ids=["windows", "bands"])
+    def test_repeated_setting_rejected_before_panel_is_read(self, tmp_path, capsys,
+                                                            axis, message):
+        # the input does not exist, so only a check made before the load can answer
+        out = tmp_path / "sweep"
+        assert run("sweep", tmp_path / "absent.csv", *axis, "--out", out) == 1
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_single_setting_rejected(self, regime_panel, tmp_path, capsys):
