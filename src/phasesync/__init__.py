@@ -29,7 +29,6 @@ from .pipeline import (
     ResultMeta,
     SyncResult,
     annotate_recessions,
-    normalize_di,
     ratio_above,
     run_pipeline,
     write_metadata,
@@ -41,7 +40,7 @@ from .spectral import (
     fourier_analyze,
     trim_edges,
 )
-from .sync import SyncSeries, phase_difference, sync_index_full, sync_index_windowed
+from .sync import sync_index_windowed
 from .synthetic import DETUNE_WALK_STEP, RegimeSpec, gen_regime_panel, gen_sine
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "RegimeSpec",
     "ResultMeta",
     "SyncResult",
-    "SyncSeries",
     "TimeSeries",
     "analytic_signal",
     "annotate_recessions",
@@ -76,13 +74,10 @@ __all__ = [
     "hilbert",
     "load_panel_csv",
     "load_recession_csv",
-    "normalize_di",
     "periods_of_band",
-    "phase_difference",
     "ratio_above",
     "round_half_up",
     "run_pipeline",
-    "sync_index_full",
     "sync_index_windowed",
     "trim_edges",
     "write_metadata",

@@ -229,7 +229,7 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     common = [(label, ratios[:, first - month:last - month + 1])
               for label, month, ratios in kept]
 
-    with open(out.target("stability.csv"), "w", newline="") as fh:
+    with open(out.target("stability.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]))
         for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
             for r, a, b in zip(thresholds, ratios_a, ratios_b):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,8 +252,7 @@ def load_panel_csv(path) -> Panel:
     arrives, and the cells are converted in blocks of _PANEL_BLOCK_ROWS
     rows, so only one block is ever held as strings.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
@@ -312,6 +312,35 @@ def load_panel_csv(path) -> Panel:
         ))
     except ContractError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _csv_reader(path):
+    """A csv.reader over the UTF-8 file at path. A field over csv's size limit
+    and a line that is not UTF-8 raise IngestionError naming the line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # text is decoded in chunks, so find the line by rescanning the bytes
+            raise _not_utf8(path) from exc
+
+
+def _not_utf8(path) -> IngestionError:
+    """The error for the first line of the file that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for linenum, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = line[exc.start:exc.start + 1].hex()
+                return IngestionError(
+                    f"{path}: line {linenum}: not UTF-8 text ({exc.reason}: 0x{byte})"
+                )
+    raise AssertionError("the file failed to decode, yet every line is UTF-8")
 
 
 def _convert_block(path, ids, cells, first_row, blocks) -> IngestionError | None:
@@ -391,7 +420,7 @@ def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits."""
     values = np.column_stack([s.values for s in panel.series])
     dates = [(str(panel.month_at(i)),) for i in range(panel.n)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(["date", *panel.ids]))
         for start in range(0, panel.n, _PANEL_BLOCK_ROWS):
             stop = start + _PANEL_BLOCK_ROWS
@@ -400,8 +429,8 @@ def write_panel_csv(panel: Panel, path) -> None:
 
 def load_recession_csv(path) -> RecessionCalendar:
     """Read reference dates from CSV with header ``peak,trough`` and YYYY-MM values."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with _csv_reader(path) as reader:
+        rows = list(reader)
     if not rows or rows[0] != ["peak", "trough"]:
         raise IngestionError(f"{path}: header must be exactly 'peak,trough'")
     episodes = []

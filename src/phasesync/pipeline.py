@@ -10,9 +10,7 @@ anchoring so downstream alignment cannot silently drift by a half-window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .panel import (
     round_half_up,
 )
 from .spectral import bandpass, detrend_linear, trim_edges
-from .sync import SyncSeries, pair_gamma2
+from .sync import check_window, pair_gamma2
 
 RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
@@ -51,8 +49,7 @@ class PipelineConfig:
     amplitude_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.window != int(self.window) or self.window < 3 or self.window % 2 == 0:
-            raise ContractError(f"window must be an odd integer >= 3, got {self.window}")
+        check_window(self.window)
         thresholds = tuple(float(r) for r in self.thresholds)
         if not thresholds:
             raise ContractError("need at least one threshold")
@@ -108,12 +105,6 @@ class SyncResult:
     def __post_init__(self):
         self.gamma2.flags.writeable = False
 
-    @cached_property
-    def pair_gamma(self) -> dict[tuple[str, str], SyncSeries]:
-        """Each pair's SyncSeries, viewing its row of gamma2."""
-        return {pair: SyncSeries(gamma2=row, window=self.window)
-                for pair, row in zip(self.pairs, self.gamma2)}
-
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
@@ -142,7 +133,7 @@ class SyncResult:
     def write_gamma_csv(self, path) -> None:
         """Long format: t,date,pair_i,pair_j,gamma2."""
         rows = CsvRows(self._sample_fields())
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
             for pair, row in zip(self.pairs, self.gamma2):
                 fh.write(rows.text(pair, row))
@@ -150,7 +141,7 @@ class SyncResult:
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
         rows = CsvRows(self._sample_fields())
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(["t", "date", "r", "R"]))
             for r in self.meta.config.thresholds:
                 fh.write(rows.text((format(r, "g"),), self.ratios[r]))
@@ -165,7 +156,7 @@ class SyncResult:
         header = ["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
         if labels is not None:
             header.append("regime")
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(header))
             for idx, fields in enumerate(self._sample_fields()):
                 row = list(fields) + [format(self.ratios[r][idx], ".12g") for r in thresholds]
@@ -210,7 +201,7 @@ def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
 
 def write_metadata(path, items) -> None:
     """Plain-text sidecar, one `key = value` per line."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in items:
             fh.write(f"{key} = {value}\n")
 
@@ -263,50 +254,25 @@ def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
         anchor=panel.start + trim_offset + half_width,
     )
     return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=gamma2,
-                      ratios=_ratios(gamma2, config.thresholds), meta=meta)
+                      ratios={r: ratio_above(gamma2, r) for r in config.thresholds},
+                      meta=meta)
 
 
-def ratio_above(pair_gamma, r: float) -> np.ndarray:
-    """Fraction of pair series at or above r at each time point.
+def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
+    """Fraction of the rows of (pairs x samples) gamma2 at or above r, per sample.
 
-    pair_gamma is a mapping or iterable of SyncSeries sharing one window
-    and length. A pair counts when gamma2 >= r - RATIO_TOL (1e-12), so an
-    exactly locked pair, whose gamma2 rounds to just below 1, counts at r = 1.
+    A pair counts when gamma2 >= r - RATIO_TOL (1e-12), so an exactly
+    locked pair, whose gamma2 rounds to just below 1, counts at r = 1.
     """
-    if isinstance(pair_gamma, Mapping):
-        series_list = list(pair_gamma.values())
-    else:
-        series_list = list(pair_gamma)
-    if not series_list:
-        raise ContractError("no pair series given")
+    gamma2 = np.asarray(gamma2, dtype=float)
+    if gamma2.ndim != 2 or gamma2.shape[0] == 0:
+        raise ContractError(
+            f"need a 2-d (pairs x samples) array with at least one pair, "
+            f"got shape {gamma2.shape}"
+        )
     if not 0.0 <= r <= 1.0:
         raise ContractError(f"threshold must lie in [0, 1], got {r}")
-    first = series_list[0]
-    for series in series_list[1:]:
-        if series.window != first.window or len(series) != len(first):
-            raise ContractError(
-                "pair series are misaligned: expected window "
-                f"{first.window} and length {len(first)}, got "
-                f"window {series.window} and length {len(series)}"
-            )
-    return _ratios(np.vstack([series.gamma2 for series in series_list]), (r,))[r]
-
-
-def _ratios(gamma2: np.ndarray, thresholds) -> dict[float, np.ndarray]:
-    """Fraction of the rows of (pairs x samples) gamma2 locked at each threshold r."""
-    return {r: (gamma2 >= r - RATIO_TOL).mean(axis=0) for r in thresholds}
-
-
-def normalize_di(series) -> np.ndarray:
-    """Map a 0..100 diffusion-style index to [-1, 1] via (x - 50)/50."""
-    x = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ContractError("non-finite value in input")
-    bad = np.flatnonzero((x < 0.0) | (x > 100.0))
-    if bad.size:
-        t = int(bad[0])
-        raise ContractError(f"value {x[t]} at index {t} outside [0, 100]")
-    return (x - 50.0) / 50.0
+    return (gamma2 >= r - RATIO_TOL).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -316,10 +282,6 @@ class RegimeAnnotation:
     months: tuple[Month, ...]
     labels: tuple[str, ...]
     regime_means: dict[float, dict[str, float]]
-
-    def rows(self):
-        for idx, (month, label) in enumerate(zip(self.months, self.labels)):
-            yield idx, month, label
 
 
 def annotate_recessions(result: SyncResult, calendar: RecessionCalendar) -> RegimeAnnotation:

@@ -31,7 +31,6 @@ from phasesync import (
     gen_sine,
     hilbert,
     periods_of_band,
-    phase_difference,
     round_half_up,
     run_pipeline,
     sync_index_windowed,
@@ -154,7 +153,7 @@ def test_criterion_04_locked_sine_pair():
     for member in (lead, lag):
         filtered = bandpass(member.values, band)
         phases.append(analytic_signal(filtered).phase)
-    psi = phase_difference(phases[0], phases[1])
+    psi = phases[0] - phases[1]
     wrapped = np.mod(psi + np.pi, 2.0 * np.pi) - np.pi
     interior, margin = trim_edges(wrapped, band)
     psi_err = np.abs(interior - np.pi / 2).max()
@@ -162,7 +161,8 @@ def test_criterion_04_locked_sine_pair():
 
     result = run_pipeline(Panel((lead, lag)),
                           PipelineConfig(band=band, window=13, detrend=False))
-    gamma = result.pair_gamma[("a", "b")].gamma2
+    assert result.pairs == (("a", "b"),)
+    gamma = result.gamma2[0]
     gamma_err = np.abs(gamma - 1.0).max()
     assert gamma_err <= 1e-9
     print(f"criterion 04: PASS (psi=pi/2 +/- {psi_err:.2e} strips {margin}/side, "
@@ -175,7 +175,7 @@ def test_criterion_05_null_calibration():
     devs = {}
     for window, expected in ((13, 0.077), (17, 0.059)):
         psi = rng.uniform(-np.pi, np.pi, size=10_500 + window - 1)
-        gamma = sync_index_windowed(psi, window).gamma2
+        gamma = sync_index_windowed(psi, window)
         assert gamma.size >= 10_000
         devs[window] = abs(gamma.mean() - expected)
         assert devs[window] <= 0.01
@@ -193,7 +193,7 @@ def test_criterion_06_pair_combinatorics():
         panel = gen_regime_panel(members, spec)
         result = run_pipeline(panel, config)
         counts[members] = result.n_pairs
-        assert len(result.pair_gamma) == result.n_pairs
+        assert result.gamma2.shape == (result.n_pairs, result.n_samples)
     assert counts[50] == 1225
     assert counts[47] == 1081
     print(f"criterion 06: PASS (50 -> {counts[50]} pairs, 47 -> {counts[47]})")
@@ -272,30 +272,29 @@ def test_criterion_10_invariance_suite():
         TimeSeries(s.id, s.start, s.values * 2.5) if i == 1 else s
         for i, s in enumerate(panel)
     ))
-    amp_err = max(
-        np.abs(run_pipeline(scaled, config).pair_gamma[key].gamma2
-               - series.gamma2).max()
-        for key, series in base.pair_gamma.items()
-    )
+    scaled_result = run_pipeline(scaled, config)
+    assert scaled_result.pairs == base.pairs
+    amp_err = np.abs(scaled_result.gamma2 - base.gamma2).max()
     assert amp_err <= 1e-9
 
     # constant shift and whole 2*pi jumps of the phase difference
     rng = np.random.default_rng(15)
     psi = rng.uniform(-np.pi, np.pi, size=400)
-    reference = sync_index_windowed(psi, 13).gamma2
+    reference = sync_index_windowed(psi, 13)
     shift_err = np.abs(
-        sync_index_windowed(psi + 0.83, 13).gamma2 - reference).max()
+        sync_index_windowed(psi + 0.83, 13) - reference).max()
     assert shift_err <= 1e-12
     jumps = 2.0 * np.pi * rng.integers(-3, 4, size=psi.size)
     jump_err = np.abs(
-        sync_index_windowed(psi + jumps, 13).gamma2 - reference).max()
+        sync_index_windowed(psi + jumps, 13) - reference).max()
     assert jump_err <= 1e-12
 
     # pair order: reversing the panel relabels pairs, nothing else
     reversed_result = run_pipeline(Panel(tuple(reversed(panel.series))), config)
+    reversed_gamma = dict(zip(reversed_result.pairs, reversed_result.gamma2))
     order_err = max(
-        np.abs(reversed_result.pair_gamma[(j, i)].gamma2 - series.gamma2).max()
-        for (i, j), series in base.pair_gamma.items()
+        np.abs(reversed_gamma[(j, i)] - row).max()
+        for (i, j), row in zip(base.pairs, base.gamma2)
     )
     assert order_err <= 1e-12
 

@@ -1,9 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import phasesync
+from phasesync import Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
 
 
@@ -355,3 +361,56 @@ class TestMainContract:
         with pytest.raises(SystemExit) as excinfo:
             run("frobnicate")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("cells,message", [
+        (b"1\xff,2", "line 3: not UTF-8 text"),
+        (b"1" * 140_000 + b",2", "line 3: field larger than field limit"),
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_panel_is_clean_error(self, tmp_path, capsys, cells, message):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(b"date,a,b\n2000-01,1,2\n2000-02," + cells + b"\n2000-03,5,6\n")
+        out = tmp_path / "out"
+        assert run("filter", panel, "--kl", 1, "--ku", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(out.iterdir()) == []
+
+    def test_unreadable_calendar_is_clean_error(self, regime_panel, tmp_path, capsys):
+        calendar = tmp_path / "cal.csv"
+        calendar.write_bytes(b"peak,trough\n1982-07,1983-11\n\xff\n")
+        out = tmp_path / "out"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", calendar, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3: not UTF-8 text" in err
+        assert list(out.iterdir()) == []
+
+
+def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):
+    """Files are read and written as UTF-8 whatever the locale's encoding."""
+    spec = RegimeSpec(segments=((120, "coupled"),), seed=7)
+    panel = Panel(tuple(
+        TimeSeries(sid, s.start, s.values)
+        for sid, s in zip(("Tōkyō", "Ōsaka", "Nagoya"), gen_regime_panel(3, spec))
+    ))
+    write_panel_csv(panel, tmp_path / "panel.csv")
+    argv = ["sync", "panel.csv", "--kl", 2, "--ku", 9, "--window", 13]
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", "in_process") == 0
+
+    src = str(Path(phasesync.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert encoding.lower().replace("-", "") != "utf8"
+    child = subprocess.run([sys.executable, "-m", "phasesync", *map(str, argv),
+                            "--out", "child"], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+
+    names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "child").iterdir())
+    for name in names:
+        assert (tmp_path / "child" / name).read_bytes() == \
+            (tmp_path / "in_process" / name).read_bytes(), name

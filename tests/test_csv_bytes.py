@@ -72,8 +72,8 @@ def test_gamma_csv_bytes(result, tmp_path):
     path = tmp_path / "gamma2.csv"
     result.write_gamma_csv(path)
     expected = [["t", "date", "pair_i", "pair_j", "gamma2"]]
-    for (id_i, id_j), series in result.pair_gamma.items():
-        for idx, g in enumerate(series.gamma2):
+    for (id_i, id_j), row in zip(result.pairs, result.gamma2):
+        for idx, g in enumerate(row):
             expected.append(sample_fields(result, idx) + [id_i, id_j, format(g, ".12g")])
     assert path.read_bytes() == writer_bytes(expected)
 

@@ -360,6 +360,22 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match="2 data rows"):
             load_panel_csv(path)
 
+    # text is decoded 8 KB at a time, so row 2000 lies well past the first chunk
+    @pytest.mark.parametrize("rownum", [3, 2000])
+    def test_not_utf8_names_line(self, tmp_path, rownum):
+        path = long_csv(tmp_path / "p.csv", 2500, {rownum: "1,2"})
+        lines = path.read_bytes().split(b"\n")
+        lines[rownum - 1] = lines[rownum - 1].replace(b",1,", b",1\xff,")
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(IngestionError,
+                           match=f"line {rownum}: not UTF-8 text .*0xff"):
+            load_panel_csv(path)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        path = long_csv(tmp_path / "p.csv", 5, {3: "1" * 140_000 + ",2"})
+        with pytest.raises(IngestionError, match="line 3: field larger than field limit"):
+            load_panel_csv(path)
+
 
 class TestRecessionCalendar:
     def test_contraction_labeling(self):
@@ -403,3 +419,9 @@ class TestRecessionCalendar:
         bad_date.write_text("peak,trough\n1990-7,1991-03\n")
         with pytest.raises(IngestionError, match="row 2"):
             load_recession_csv(bad_date)
+
+    def test_loader_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_bytes(b"peak,trough\n1990-07,1991-03\n\xff2001-03,2001-11\n")
+        with pytest.raises(IngestionError, match="line 3: not UTF-8 text"):
+            load_recession_csv(path)

@@ -13,15 +13,12 @@ from phasesync import (
     PipelineConfig,
     RecessionCalendar,
     RegimeSpec,
-    SyncSeries,
     TimeSeries,
     analytic_signal,
     annotate_recessions,
     bandpass,
     detrend_linear,
     gen_regime_panel,
-    normalize_di,
-    phase_difference,
     ratio_above,
     round_half_up,
     run_pipeline,
@@ -73,7 +70,8 @@ class TestRunPipeline:
     def test_pair_count_three_members(self):
         result = run_pipeline(small_panel(3), PipelineConfig(band=BAND, window=13))
         assert result.n_pairs == 3
-        assert set(result.pair_gamma) == {("m01", "m02"), ("m01", "m03"), ("m02", "m03")}
+        assert result.pairs == (("m01", "m02"), ("m01", "m03"), ("m02", "m03"))
+        assert result.gamma2.shape == (3, result.n_samples)
 
     def test_pair_count_formula(self):
         result = run_pipeline(small_panel(6), PipelineConfig(band=BAND, window=13))
@@ -89,9 +87,8 @@ class TestRunPipeline:
         panel = small_panel(4)
         a = run_pipeline(panel, config)
         b = run_pipeline(panel, config)
-        for key in a.pair_gamma:
-            np.testing.assert_array_equal(a.pair_gamma[key].gamma2,
-                                          b.pair_gamma[key].gamma2)
+        assert a.pairs == b.pairs
+        np.testing.assert_array_equal(a.gamma2, b.gamma2)
         for r in config.thresholds:
             np.testing.assert_array_equal(a.ratios[r], b.ratios[r])
 
@@ -103,14 +100,11 @@ class TestRunPipeline:
                              BAND)[0]
                   for s in panel]
         expected = np.vstack([
-            sync_index_windowed(phase_difference(phases[i], phases[j]), 13).gamma2
+            sync_index_windowed(phases[i] - phases[j], 13)
             for i, j in combinations(range(len(panel)), 2)
         ])
         assert result.pairs == tuple(combinations(panel.ids, 2))
         assert np.array_equal(result.gamma2, expected)
-        for pair, row in zip(result.pairs, result.gamma2):
-            assert result.pair_gamma[pair].window == 13
-            assert np.shares_memory(result.pair_gamma[pair].gamma2, row)
 
     def test_gamma2_array_read_only(self):
         result = run_pipeline(small_panel(3), PipelineConfig(band=BAND, window=13))
@@ -118,7 +112,7 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             result.gamma2[0, 0] = 0.5
         with pytest.raises(ValueError):
-            result.pair_gamma[result.pairs[0]].gamma2[0] = 0.5
+            result.gamma2[0][0] = 0.5
 
     def test_trim_bookkeeping(self):
         panel = small_panel(3, n=240)
@@ -146,9 +140,8 @@ class TestRunPipeline:
     def test_ratio_matches_manual_count(self):
         config = PipelineConfig(band=BAND, window=13)
         result = run_pipeline(small_panel(4), config)
-        stacked = np.vstack([s.gamma2 for s in result.pair_gamma.values()])
         np.testing.assert_array_equal(result.ratios[0.7],
-                                      (stacked >= 0.7).mean(axis=0))
+                                      (result.gamma2 >= 0.7).mean(axis=0))
 
     def test_amplitude_invariance(self):
         panel = small_panel(3, seed=5)
@@ -160,9 +153,8 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(scaled, config)
-        for key in base.pair_gamma:
-            np.testing.assert_allclose(other.pair_gamma[key].gamma2,
-                                       base.pair_gamma[key].gamma2, atol=1e-9)
+        assert other.pairs == base.pairs
+        np.testing.assert_allclose(other.gamma2, base.gamma2, atol=1e-9)
         for r in config.thresholds:
             np.testing.assert_allclose(other.ratios[r], base.ratios[r], atol=1e-9)
 
@@ -174,9 +166,8 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(shifted, config)
-        for key in base.pair_gamma:
-            np.testing.assert_allclose(other.pair_gamma[key].gamma2,
-                                       base.pair_gamma[key].gamma2, atol=1e-9)
+        assert other.pairs == base.pairs
+        np.testing.assert_allclose(other.gamma2, base.gamma2, atol=1e-9)
 
     def test_member_order_invariance(self):
         panel = small_panel(4, seed=7)
@@ -184,9 +175,9 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(reordered, config)
-        for (id_i, id_j), series in base.pair_gamma.items():
-            np.testing.assert_allclose(other.pair_gamma[(id_j, id_i)].gamma2,
-                                       series.gamma2, atol=1e-12)
+        other_gamma = dict(zip(other.pairs, other.gamma2))
+        for (id_i, id_j), row in zip(base.pairs, base.gamma2):
+            np.testing.assert_allclose(other_gamma[(id_j, id_i)], row, atol=1e-12)
         for r in config.thresholds:
             np.testing.assert_allclose(other.ratios[r], base.ratios[r], atol=1e-12)
 
@@ -200,71 +191,39 @@ class TestRunPipeline:
 
 
 class TestRatioAbove:
-    def make(self, *rows):
-        return [SyncSeries(gamma2=np.asarray(row, dtype=float), window=13)
-                for row in rows]
-
     def test_all_above(self):
-        series = self.make([1.0, 1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(ratio_above(series, 0.8), [1.0, 1.0])
+        gamma2 = np.array([[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(ratio_above(gamma2, 0.8), [1.0, 1.0])
 
     def test_none_above(self):
-        series = self.make([0.5, 0.5], [0.5, 0.5])
-        np.testing.assert_array_equal(ratio_above(series, 0.7), [0.0, 0.0])
+        gamma2 = np.array([[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_array_equal(ratio_above(gamma2, 0.7), [0.0, 0.0])
 
     def test_two_of_three(self):
-        series = self.make([0.9], [0.75], [0.2])
-        np.testing.assert_allclose(ratio_above(series, 0.7), [2.0 / 3.0])
+        gamma2 = np.array([[0.9], [0.75], [0.2]])
+        np.testing.assert_allclose(ratio_above(gamma2, 0.7), [2.0 / 3.0])
 
     def test_inclusive_comparison(self):
-        series = self.make([0.7], [0.69999])
-        np.testing.assert_allclose(ratio_above(series, 0.7), [0.5])
+        gamma2 = np.array([[0.7], [0.69999]])
+        np.testing.assert_allclose(ratio_above(gamma2, 0.7), [0.5])
 
     def test_rounding_tie_counts(self):
         # a constant phase difference scores 0.9999999999999996, not 1
-        series = self.make([0.9999999999999996], [1.0 - 1e-9])
-        np.testing.assert_array_equal(ratio_above(series, 1.0), [0.5])
-
-    def test_accepts_mapping(self):
-        mapping = {("a", "b"): SyncSeries(gamma2=np.array([1.0]), window=13)}
-        np.testing.assert_array_equal(ratio_above(mapping, 0.5), [1.0])
-
-    def test_misaligned_rejected(self):
-        a = SyncSeries(gamma2=np.zeros(5), window=13)
-        b = SyncSeries(gamma2=np.zeros(5), window=15)
-        with pytest.raises(ContractError, match="misaligned"):
-            ratio_above([a, b], 0.7)
-        c = SyncSeries(gamma2=np.zeros(6), window=13)
-        with pytest.raises(ContractError, match="misaligned"):
-            ratio_above([a, c], 0.7)
+        gamma2 = np.array([[0.9999999999999996], [1.0 - 1e-9]])
+        np.testing.assert_array_equal(ratio_above(gamma2, 1.0), [0.5])
 
     def test_threshold_range(self):
-        series = self.make([0.5])
-        with pytest.raises(ContractError):
-            ratio_above(series, 1.2)
+        with pytest.raises(ContractError, match="threshold"):
+            ratio_above(np.array([[0.5]]), 1.2)
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            ratio_above([], 0.5)
+        with pytest.raises(ContractError, match="at least one pair"):
+            ratio_above(np.empty((0, 5)), 0.5)
 
-
-class TestNormalizeDi:
-    def test_midpoint(self):
-        np.testing.assert_array_equal(normalize_di([50.0]), [0.0])
-
-    def test_bounds(self):
-        np.testing.assert_array_equal(normalize_di([100.0, 0.0]), [1.0, -1.0])
-
-    def test_linear_map(self):
-        np.testing.assert_allclose(normalize_di([75.0, 25.0]), [0.5, -0.5])
-
-    def test_out_of_range_named(self):
-        with pytest.raises(ContractError, match="index 1"):
-            normalize_di([10.0, 101.0])
-
-    def test_non_finite(self):
-        with pytest.raises(ContractError):
-            normalize_di([np.nan])
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_not_two_dimensional_rejected(self, shape):
+        with pytest.raises(ContractError, match="2-d"):
+            ratio_above(np.zeros(shape), 0.5)
 
 
 class TestAnnotateRecessions:
@@ -304,10 +263,9 @@ class TestAnnotateRecessions:
     def test_rows_iterate_in_order(self):
         result = self.result()
         annotation = annotate_recessions(result, self.CAL)
-        rows = list(annotation.rows())
-        assert rows[0][0] == 0
-        assert rows[0][1] == result.month_of(0)
-        assert len(rows) == result.n_samples
+        assert annotation.months == tuple(result.month_of(idx)
+                                          for idx in range(result.n_samples))
+        assert len(annotation.labels) == result.n_samples
 
 
 class TestResultOutputs:
@@ -323,12 +281,12 @@ class TestResultOutputs:
         assert rows[0] == ["t", "date", "pair_i", "pair_j", "gamma2"]
         assert len(rows) == 1 + result.n_pairs * result.n_samples
         pairs = {(row[2], row[3]) for row in rows[1:]}
-        assert pairs == set(result.pair_gamma)
+        assert pairs == set(result.pairs)
         first = rows[1]
         assert int(first[0]) == result.t_of(0)
         assert first[1] == str(result.month_of(0))
         assert float(first[4]) == pytest.approx(
-            result.pair_gamma[("m01", "m02")].gamma2[0], rel=1e-11)
+            result.gamma2[result.pairs.index(("m01", "m02")), 0], rel=1e-11)
 
     def test_ratio_long_csv(self, result, tmp_path):
         path = tmp_path / "ratios_long.csv"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasesync.panel import Month, Panel, TimeSeries, load_panel_csv, write_panel_csv
-from phasesync.pipeline import RATIO_TOL, _ratios
+from phasesync.pipeline import RATIO_TOL, ratio_above
 from phasesync.sync import pair_gamma2
 
 # the same examples on every run, and no example database written
@@ -40,10 +40,9 @@ def assert_same_ratios(gamma2, other, thresholds):
     threshold whose cut no gamma2 lies within that rounding of."""
     rounding = np.abs(gamma2 - other).max()
     assert rounding <= 1e-12
-    ratios, other_ratios = _ratios(gamma2, thresholds), _ratios(other, thresholds)
     for r in thresholds:
         if np.abs(gamma2 - (r - RATIO_TOL)).min() > rounding:
-            np.testing.assert_array_equal(other_ratios[r], ratios[r])
+            np.testing.assert_array_equal(ratio_above(other, r), ratio_above(gamma2, r))
 
 
 @PROPERTY
@@ -60,7 +59,8 @@ def test_gamma2_in_unit_interval(panel):
 @PROPERTY
 @given(phase_panels(), THRESHOLDS)
 def test_ratio_never_increases_with_threshold(panel, thresholds):
-    ratios = _ratios(pair_gamma2(*panel), thresholds)
+    gamma2 = pair_gamma2(*panel)
+    ratios = {r: ratio_above(gamma2, r) for r in thresholds}
     for low, high in zip(thresholds, thresholds[1:]):
         assert np.all(ratios[high] <= ratios[low])
     assert all(np.all((0.0 <= ratios[r]) & (ratios[r] <= 1.0)) for r in thresholds)

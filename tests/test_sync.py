@@ -5,8 +5,6 @@ from phasesync import (
     ContractError,
     analytic_signal,
     gen_sine,
-    phase_difference,
-    sync_index_full,
     sync_index_windowed,
 )
 from phasesync.sync import windowed_resultant_sq
@@ -49,72 +47,51 @@ class TestWindowedResultant:
 
 
 class TestPhaseDifference:
-    def test_self_difference_is_zero(self):
-        phi = np.linspace(0, 10, 50)
-        np.testing.assert_array_equal(phase_difference(phi, phi), np.zeros(50))
+    """Phase differences of analytic-signal phases."""
 
     def test_quarter_cycle_offset_pair(self):
         # sin(2*pi*t/P) against 2*sin(2*pi*t/P - pi/2): difference pi/2 always
         s1 = gen_sine(240, 24, 1.0, 0.0)
         s2 = gen_sine(240, 24, 2.0, -np.pi / 2)
-        psi = phase_difference(analytic_signal(s1.values).phase,
-                               analytic_signal(s2.values).phase)
+        psi = analytic_signal(s1.values).phase - analytic_signal(s2.values).phase
         np.testing.assert_allclose(wrap(psi), np.pi / 2, atol=1e-9)
-
-    def test_antiphase(self):
-        phi2 = np.linspace(-2, 2, 30)
-        psi = phase_difference(phi2 + np.pi, phi2)
-        np.testing.assert_allclose(psi, np.pi, atol=1e-12)
-
-    def test_swap_antisymmetry(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=40)
-        b = rng.normal(size=40)
-        np.testing.assert_array_equal(phase_difference(b, a), -phase_difference(a, b))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError, match="shape"):
-            phase_difference(np.zeros(5), np.zeros(6))
 
 
 class TestSyncIndexFull:
+    """The index of a whole sequence: one window that spans it."""
+
     @pytest.mark.parametrize("value", [0.0, 0.4, -np.pi, 100.0])
     def test_constant_is_one(self, value):
-        assert sync_index_full(np.full(13, value)) == pytest.approx(1.0, abs=1e-12)
+        got = windowed_resultant_sq(np.full(13, value), 13)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_cluster_example(self):
         psi = np.array([0.0] * 7 + [np.pi] * 6)
-        assert sync_index_full(psi) == pytest.approx((1.0 / 13.0) ** 2, abs=1e-12)
-        assert sync_index_full(psi) == pytest.approx(0.005917, abs=5e-7)
+        (got,) = windowed_resultant_sq(psi, psi.size)
+        assert got == pytest.approx((1.0 / 13.0) ** 2, abs=1e-12)
+        assert got == pytest.approx(0.005917, abs=5e-7)
 
     @pytest.mark.parametrize("w", [4, 13, 100])
     def test_uniform_spacing_cancels(self, w):
         psi = 2.0 * np.pi * np.arange(w) / w
-        assert sync_index_full(psi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            sync_index_full([])
+        (got,) = windowed_resultant_sq(psi, psi.size)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSyncIndexWindowed:
     def test_constant_gives_ones(self):
-        series = sync_index_windowed(np.full(60, -2.2), 13)
-        np.testing.assert_allclose(series.gamma2, 1.0, atol=1e-12)
+        np.testing.assert_allclose(sync_index_windowed(np.full(60, -2.2), 13), 1.0,
+                                   atol=1e-12)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
         psi = rng.uniform(-np.pi, np.pi, size=400)
-        series = sync_index_windowed(psi, 13)
-        np.testing.assert_allclose(series.gamma2, direct_windowed(psi, 13), atol=1e-12)
+        np.testing.assert_allclose(sync_index_windowed(psi, 13), direct_windowed(psi, 13),
+                                   atol=1e-12)
 
     def test_alignment_bookkeeping(self):
-        series = sync_index_windowed(np.zeros(100), 13)
-        assert len(series) == 100 - 13 + 1
-        assert series.window == 13
-        assert series.half_width == 6
-        assert series.source_length == 100
-        assert series.valid_range == (7, 94)
+        assert len(sync_index_windowed(np.zeros(100), 13)) == 100 - 13 + 1
 
     @pytest.mark.parametrize("window", [2, 4, 12, 1, 0, -3])
     def test_even_or_small_window_rejected(self, window):
@@ -128,16 +105,16 @@ class TestSyncIndexWindowed:
     def test_bounds(self):
         rng = np.random.default_rng(2)
         psi = np.cumsum(rng.normal(size=500))
-        g = sync_index_windowed(psi, 17).gamma2
+        g = sync_index_windowed(psi, 17)
         assert np.all(g >= 0.0)
         assert np.all(g <= 1.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         psi = rng.uniform(-np.pi, np.pi, size=200)
-        base = sync_index_windowed(psi, 11).gamma2
+        base = sync_index_windowed(psi, 11)
         for shift in (0.3, -4.0, 2.0 * np.pi, 123.456):
-            shifted = sync_index_windowed(psi + shift, 11).gamma2
+            shifted = sync_index_windowed(psi + shift, 11)
             np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_two_pi_jump_invariance(self):
@@ -145,8 +122,8 @@ class TestSyncIndexWindowed:
         psi = rng.uniform(-np.pi, np.pi, size=200)
         jumped = psi + 2.0 * np.pi * rng.integers(-3, 4, size=200)
         np.testing.assert_allclose(
-            sync_index_windowed(jumped, 13).gamma2,
-            sync_index_windowed(psi, 13).gamma2,
+            sync_index_windowed(jumped, 13),
+            sync_index_windowed(psi, 13),
             atol=1e-12,
         )
 
@@ -154,8 +131,8 @@ class TestSyncIndexWindowed:
         rng = np.random.default_rng(5)
         psi = rng.uniform(-np.pi, np.pi, size=150)
         np.testing.assert_allclose(
-            sync_index_windowed(-psi, 15).gamma2,
-            sync_index_windowed(psi, 15).gamma2,
+            sync_index_windowed(-psi, 15),
+            sync_index_windowed(psi, 15),
             atol=1e-12,
         )
 
