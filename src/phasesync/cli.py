@@ -32,12 +32,17 @@ from .panel import (
 )
 from .pipeline import (
     PipelineConfig,
+    ResultMeta,
+    SyncResult,
     annotate_recessions,
     band_items,
-    run_pipeline,
+    check_overlap,
+    gamma_csv_sink,
+    panel_phases,
     write_metadata,
 )
 from .spectral import bandpass, detrend_linear
+from .sync import score_pairs
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 DEFAULT_THRESHOLDS = (0.7, 0.8)
@@ -128,15 +133,33 @@ def cmd_filter(args, out: _OutputTracker) -> None:
     write_metadata(out.target("metadata.txt"), items)
 
 
+def _scored(panel: Panel, meta: ResultMeta, phases: np.ndarray, sink=None) -> SyncResult:
+    """Score every pair of the panel's phases. The result keeps no gamma2:
+    each member's block of scores goes to sink, if given, and is dropped."""
+    thresholds = meta.config.thresholds
+    ratios = score_pairs(phases, meta.config.window, thresholds, sink)
+    return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=None,
+                      ratios=dict(zip(thresholds, ratios)), meta=meta)
+
+
 def cmd_sync(args, out: _OutputTracker) -> None:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
-    result = run_pipeline(panel, config)
+    phases, trim_offset = panel_phases(panel, config)
+    meta = ResultMeta(config, len(panel), panel.n, panel.start, trim_offset)
+    calendar = None
+    if args.calendar is not None:
+        # a bad calendar fails before any pair is scored or gamma2.csv opened
+        calendar = load_recession_csv(args.calendar)
+        check_overlap(meta, calendar)
+
+    with open(out.target("gamma2.csv"), "w", encoding="utf-8", newline="") as fh:
+        result = _scored(panel, meta, phases,
+                         gamma_csv_sink(fh, meta, combinations(panel.ids, 2)))
 
     labels = None
     regime_items: list[tuple[str, str]] = []
-    if args.calendar is not None:
-        calendar = load_recession_csv(args.calendar)
+    if calendar is not None:
         annotation = annotate_recessions(result, calendar)
         labels = annotation.labels
         for r in config.thresholds:
@@ -145,7 +168,6 @@ def cmd_sync(args, out: _OutputTracker) -> None:
                     (f"mean_R_{format(r, 'g')}_{regime}", format(mean, ".12g"))
                 )
 
-    result.write_gamma_csv(out.target("gamma2.csv"))
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))
     write_metadata(out.target("metadata.txt"),
@@ -212,13 +234,17 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     for _, config in settings:
         config.validate_for(panel.n)
 
-    kept = []  # (label, first month, thresholds x samples R); no gamma2 is kept
+    phased = {}  # band -> (phases, trim offset): a --windows sweep filters once
+    kept = []  # (label, first month, thresholds x samples R)
     for label, config in settings:
-        result = run_pipeline(panel, config)
+        if config.band not in phased:
+            phased[config.band] = panel_phases(panel, config)
+        phases, trim_offset = phased[config.band]
+        result = _scored(panel, ResultMeta(config, len(panel), panel.n, panel.start,
+                                           trim_offset), phases)
         result.write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
         kept.append((label, result.month_of(0),
                      np.vstack([result.ratios[r] for r in thresholds])))
-        del result  # free this setting's gamma2 before the next one is scored
 
     # common support: months covered by every setting (trim and window vary);
     # each setting's samples are consecutive months from its first month

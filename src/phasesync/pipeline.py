@@ -1,10 +1,11 @@
 """Panel-level orchestration: filter, analytic signal, all-pairs sync, ratios.
 
 The pipeline runs per series (optional detrend, band-pass, analytic
-signal), trims filter edge effects from the phases, then evaluates the
-windowed synchronization index for every unordered pair and the fraction
-of pairs at or above each threshold. Results carry explicit calendar
-anchoring so downstream alignment cannot silently drift by a half-window.
+signal) and trims filter edge effects from the phases (panel_phases),
+then evaluates the windowed synchronization index for every unordered
+pair and the fraction of pairs at or above each threshold (score_pairs).
+Results carry explicit calendar anchoring so downstream alignment cannot
+silently drift by a half-window.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .panel import (
     round_half_up,
 )
 from .spectral import bandpass, detrend_linear, trim_edges
-from .sync import check_window, pair_gamma2
-
-RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
+# RATIO_TOL is re-exported for callers that import it from here
+from .sync import RATIO_TOL, check_window, lock_counts, score_pairs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,29 @@ class ResultMeta:
     n_months: int
     panel_start: Month
     trim_offset: int
-    anchor: Month  # calendar month of the first windowed index sample
+
+    @property
+    def anchor(self) -> Month:
+        """Calendar month of the first windowed index sample."""
+        return self.panel_start + self.trim_offset + (self.config.window - 1) // 2
+
+    @property
+    def n_samples(self) -> int:
+        """Windowed index samples per pair: trimmed months - window + 1."""
+        return self.n_months - 2 * self.trim_offset - self.config.window + 1
+
+    def t_of(self, idx: int) -> int:
+        """1-indexed centered position of sample idx in the trimmed series."""
+        return (self.config.window - 1) // 2 + 1 + idx
+
+    def month_of(self, idx: int) -> Month:
+        """Calendar month at which sample idx is centered."""
+        return self.anchor + idx
+
+    def sample_fields(self) -> list[tuple[str, str]]:
+        """(t, date) of every sample, the leading fields of each CSV row."""
+        return [(str(self.t_of(idx)), str(self.month_of(idx)))
+                for idx in range(self.n_samples)]
 
 
 @dataclass(frozen=True)
@@ -94,16 +116,19 @@ class SyncResult:
 
     pairs lists (id_i, id_j), i before j in panel order; row k of the
     read-only (pairs x samples) array gamma2 is pair k's windowed index.
-    ratios maps each threshold r to the R_t sequence.
+    gamma2 is None when the caller passed the scores to a sink as they
+    were made instead of keeping them (the CLI does). ratios maps each
+    threshold r to the R_t sequence.
     """
 
     pairs: tuple[tuple[str, str], ...]
-    gamma2: np.ndarray
+    gamma2: np.ndarray | None
     ratios: dict[float, np.ndarray]
     meta: ResultMeta
 
     def __post_init__(self):
-        self.gamma2.flags.writeable = False
+        if self.gamma2 is not None:
+            self.gamma2.flags.writeable = False
 
     @property
     def n_pairs(self) -> int:
@@ -111,7 +136,7 @@ class SyncResult:
 
     @property
     def n_samples(self) -> int:
-        return self.gamma2.shape[1]
+        return self.meta.n_samples
 
     @property
     def window(self) -> int:
@@ -119,28 +144,20 @@ class SyncResult:
 
     def t_of(self, idx: int) -> int:
         """1-indexed centered position of sample idx in the trimmed series."""
-        return (self.window - 1) // 2 + 1 + idx
+        return self.meta.t_of(idx)
 
     def month_of(self, idx: int) -> Month:
         """Calendar month at which sample idx is centered."""
-        return self.meta.anchor + idx
-
-    def _sample_fields(self) -> list[tuple[str, str]]:
-        """(t, date) of every sample, the leading fields of each CSV row."""
-        return [(str(self.t_of(idx)), str(self.month_of(idx)))
-                for idx in range(self.n_samples)]
+        return self.meta.month_of(idx)
 
     def write_gamma_csv(self, path) -> None:
         """Long format: t,date,pair_i,pair_j,gamma2."""
-        rows = CsvRows(self._sample_fields())
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
-            for pair, row in zip(self.pairs, self.gamma2):
-                fh.write(rows.text(pair, row))
+            gamma_csv_sink(fh, self.meta, self.pairs)(self.gamma2)
 
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
-        rows = CsvRows(self._sample_fields())
+        rows = CsvRows(self.meta.sample_fields())
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(["t", "date", "r", "R"]))
             for r in self.meta.config.thresholds:
@@ -158,7 +175,7 @@ class SyncResult:
             header.append("regime")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(header))
-            for idx, fields in enumerate(self._sample_fields()):
+            for idx, fields in enumerate(self.meta.sample_fields()):
                 row = list(fields) + [format(self.ratios[r][idx], ".12g") for r in thresholds]
                 if labels is not None:
                     row.append(labels[idx])
@@ -206,14 +223,29 @@ def write_metadata(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
-    """Run the full synchronization analysis over a panel.
+def gamma_csv_sink(fh, meta: ResultMeta, pairs):
+    """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to fh and
+    return a score_pairs sink that writes the rows of each block it gets.
 
-    Per series: optional linear detrend, band-pass, analytic signal. The
-    phases are then edge-trimmed (when config.trim) and every unordered
-    pair's phase difference is scored with the windowed index; ratios
-    count the fraction of pairs at or above each threshold (see
-    ratio_above for the comparison).
+    Block rows are matched to pairs in order, so the blocks must arrive in
+    the order of pairs.
+    """
+    rows = CsvRows(meta.sample_fields())
+    pairs = iter(pairs)
+    fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
+
+    def write_block(block: np.ndarray) -> None:
+        for row, pair in zip(block, pairs):  # block first: no pair is skipped
+            fh.write(rows.text(pair, row))
+
+    return write_block
+
+
+def panel_phases(panel: Panel, config: PipelineConfig) -> tuple[np.ndarray, int]:
+    """The (members, months) phases of a panel and the trim offset.
+
+    Per series: optional linear detrend, band-pass, analytic signal, then
+    (when config.trim) edge-trimming; the trim offset is 0 without it.
 
     Raises
     ------
@@ -241,28 +273,38 @@ def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
         if config.trim:
             phi, trim_offset = trim_edges(phi, config.band)
         phases.append(phi)
+    return np.vstack(phases), trim_offset
 
-    gamma2 = pair_gamma2(np.vstack(phases), config.window)
 
-    half_width = (config.window - 1) // 2
-    meta = ResultMeta(
-        config=config,
-        n_series=len(panel),
-        n_months=panel.n,
-        panel_start=panel.start,
-        trim_offset=trim_offset,
-        anchor=panel.start + trim_offset + half_width,
-    )
+def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
+    """Run the full synchronization analysis over a panel.
+
+    The panel's phases (panel_phases) are scored pair by pair with the
+    windowed index (score_pairs); ratios count the fraction of pairs at
+    or above each threshold (see lock_counts for the comparison). Raises
+    what panel_phases raises.
+    """
+    phases, trim_offset = panel_phases(panel, config)
+    meta = ResultMeta(config=config, n_series=len(panel), n_months=panel.n,
+                      panel_start=panel.start, trim_offset=trim_offset)
+    members = len(panel)
+    gamma2 = np.empty((members * (members - 1) // 2, meta.n_samples))
+    start = 0
+
+    def keep(block: np.ndarray) -> None:
+        nonlocal start
+        gamma2[start:start + len(block)] = block
+        start += len(block)
+
+    ratios = score_pairs(phases, config.window, config.thresholds, keep)
     return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=gamma2,
-                      ratios={r: ratio_above(gamma2, r) for r in config.thresholds},
-                      meta=meta)
+                      ratios=dict(zip(config.thresholds, ratios)), meta=meta)
 
 
 def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
     """Fraction of the rows of (pairs x samples) gamma2 at or above r, per sample.
 
-    A pair counts when gamma2 >= r - RATIO_TOL (1e-12), so an exactly
-    locked pair, whose gamma2 rounds to just below 1, counts at r = 1.
+    A pair counts when gamma2 >= r - RATIO_TOL, the rule of lock_counts.
     """
     gamma2 = np.asarray(gamma2, dtype=float)
     if gamma2.ndim != 2 or gamma2.shape[0] == 0:
@@ -272,7 +314,7 @@ def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
         )
     if not 0.0 <= r <= 1.0:
         raise ContractError(f"threshold must lie in [0, 1], got {r}")
-    return (gamma2 >= r - RATIO_TOL).mean(axis=0)
+    return lock_counts(gamma2, r) / gamma2.shape[0]
 
 
 @dataclass(frozen=True)
@@ -284,6 +326,16 @@ class RegimeAnnotation:
     regime_means: dict[float, dict[str, float]]
 
 
+def check_overlap(meta: ResultMeta, calendar: RecessionCalendar) -> None:
+    """Raise ContractError unless some contraction month of the calendar
+    falls inside the result's sample months."""
+    first, last = meta.anchor, meta.month_of(meta.n_samples - 1)
+    if not calendar.overlaps(first, last):
+        raise ContractError(
+            f"calendar episodes are disjoint from the result range {first}..{last}"
+        )
+
+
 def annotate_recessions(result: SyncResult, calendar: RecessionCalendar) -> RegimeAnnotation:
     """Label every result sample contraction or expansion.
 
@@ -291,14 +343,10 @@ def annotate_recessions(result: SyncResult, calendar: RecessionCalendar) -> Regi
     (the peak month is the last expansion month, the trough month the last
     contraction month). Also aggregates mean R_t per regime for each
     threshold. Raises ContractError when the calendar and the result do
-    not overlap at all.
+    not overlap at all (check_overlap).
     """
+    check_overlap(result.meta, calendar)
     months = tuple(result.month_of(idx) for idx in range(result.n_samples))
-    if not calendar.overlaps(months[0], months[-1]):
-        raise ContractError(
-            f"calendar episodes are disjoint from the result range "
-            f"{months[0]}..{months[-1]}"
-        )
     labels = tuple(
         "contraction" if calendar.is_contraction(m) else "expansion"
         for m in months

@@ -7,7 +7,8 @@ squared length of the mean unit phasor,
 
 which is 1 when the difference is constant and has expectation 1/W for W
 i.i.d. uniform phases. The windowed variant slides a centered odd-length
-window over psi; pair_gamma2 scores every pair of a panel's phases at once.
+window over psi; score_pairs scores every pair of a panel's phases, one
+member's pairs at a time, and counts the pairs locked at each threshold.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
+
+RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
 
 def check_window(window) -> None:
@@ -51,19 +54,32 @@ def sync_index_windowed(psi, window: int) -> np.ndarray:
     return windowed_resultant_sq(psi, int(window))
 
 
-def pair_gamma2(phases: np.ndarray, window: int) -> np.ndarray:
-    """Windowed gamma2 of every pair of rows i < j of (members, n) phases.
+def lock_counts(gamma2: np.ndarray, r: float) -> np.ndarray:
+    """Per sample (column), how many rows of gamma2 are locked at r.
 
-    Rows follow itertools.combinations order, and row (i, j) equals
-    sync_index_windowed(phases[i] - phases[j], window). The caller checks
-    members >= 2 and the window. One call per member keeps temporaries to
-    one row of the pair triangle.
+    A row counts when gamma2 >= r - RATIO_TOL (1e-12), so an exactly
+    locked pair, whose gamma2 rounds to just below 1, counts at r = 1.
+    """
+    return np.count_nonzero(gamma2 >= r - RATIO_TOL, axis=0)
+
+
+def score_pairs(phases: np.ndarray, window: int, thresholds, sink=None) -> np.ndarray:
+    """R at each threshold: the share of pairs i < j of (members, n) phases
+    locked in each window, as a (thresholds x samples) array.
+
+    Member i's pairs are scored together as one (members - 1 - i, samples)
+    block whose row for pair (i, j) equals sync_index_windowed(phases[i] -
+    phases[j], window). Each block is added into integer lock counts, then
+    passed to sink, if given, and dropped, so the blocks arrive in
+    itertools.combinations order and no (pairs x samples) array is kept.
+    The caller checks members >= 2, the window and the thresholds.
     """
     members, n = phases.shape
-    out = np.empty((members * (members - 1) // 2, n - window + 1))
-    start = 0
+    counts = np.zeros((len(thresholds), n - window + 1), dtype=np.int64)
     for i in range(members - 1):
-        stop = start + members - 1 - i
-        out[start:stop] = windowed_resultant_sq(phases[i] - phases[i + 1:], window)
-        start = stop
-    return out
+        block = windowed_resultant_sq(phases[i] - phases[i + 1:], window)
+        for row, r in zip(counts, thresholds):
+            row += lock_counts(block, r)
+        if sink is not None:
+            sink(block)
+    return counts / (members * (members - 1) // 2)

@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 import phasesync
+import phasesync.sync
 from phasesync import Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
+from phasesync.panel import CsvRows
 
 
 def run(*argv):
@@ -225,6 +228,78 @@ class TestSync:
         assert meta["detrend"] == "false"
         assert meta["trim_offset"] == "0"
         assert meta["n_samples"] == str(240 - 13 + 1)
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Records each call of the pair-scoring kernel, one per panel member scored."""
+    calls = []
+    kernel = phasesync.sync.windowed_resultant_sq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(phasesync.sync, "windowed_resultant_sq", counted)
+    return calls
+
+
+class TestStreamedSync:
+    """sync scores one member's pairs at a time and writes them as they come."""
+
+    @pytest.mark.parametrize("calendar_text, message", [
+        (None, "No such file"),
+        ("peak,trough\n1950-01,1951-01\n", "calendar episodes are disjoint"),
+    ], ids=["missing", "disjoint"])
+    def test_bad_calendar_fails_before_scoring(self, regime_panel, tmp_path, capsys,
+                                               kernel_calls, calendar_text, message):
+        calendar = tmp_path / "cal.csv"
+        if calendar_text is not None:
+            calendar.write_text(calendar_text)
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", calendar, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert kernel_calls == []
+        assert list(out.iterdir()) == []
+
+    def test_write_failure_after_first_block(self, regime_panel, tmp_path, capsys,
+                                             monkeypatch, kernel_calls):
+        # the 5-member panel's first block holds 4 pairs; the 5th row fails
+        text, rows = CsvRows.text, []
+
+        def fail_on_fifth_row(self, fields, values):
+            if len(rows) == 4:
+                raise OSError("No space left on device")
+            rows.append(fields)
+            return text(self, fields, values)
+
+        monkeypatch.setattr(CsvRows, "text", fail_on_fifth_row)
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--out", out) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(kernel_calls) == 2  # failed while writing the second member's block
+        assert list(out.iterdir()) == []
+
+    def test_peak_memory_below_the_pair_array(self, tmp_path):
+        # 60 members x 300 months: 1,770 pairs x 254 samples of float64 is
+        # 3.6 MB; holding them all peaks at about 1.4 times that, one
+        # member's block at a time near 0.4
+        spec = RegimeSpec(segments=((150, "coupled"), (150, "uncoupled")), seed=3)
+        write_panel_csv(gen_regime_panel(60, spec), tmp_path / "panel.csv")
+        out = tmp_path / "sync"
+        tracemalloc.start()
+        try:
+            code = run("sync", tmp_path / "panel.csv", "--kl", 4, "--ku", 18,
+                       "--window", 13, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        meta = read_meta(out / "metadata.txt")
+        assert peak < int(meta["n_pairs"]) * int(meta["n_samples"]) * 8
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
-"""Property tests of the all-pairs array path (pair_gamma2 and the ratios)
-and of the panel CSV round trip."""
+"""Property tests of the all-pairs scoring path (score_pairs, its blocks
+and its counted ratios) and of the panel CSV round trip."""
 
+import csv
 import string
 import tempfile
 from itertools import combinations
@@ -11,9 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phasesync.panel import Month, Panel, TimeSeries, load_panel_csv, write_panel_csv
-from phasesync.pipeline import RATIO_TOL, ratio_above
-from phasesync.sync import pair_gamma2
+from phasesync.cli import main
+from phasesync.panel import (
+    FilterBand,
+    Month,
+    Panel,
+    TimeSeries,
+    load_panel_csv,
+    write_panel_csv,
+)
+from phasesync.pipeline import RATIO_TOL, PipelineConfig, panel_phases, ratio_above, run_pipeline
+from phasesync.sync import score_pairs, sync_index_windowed
+from phasesync.synthetic import RegimeSpec, gen_regime_panel
 
 # the same examples on every run, and no example database written
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -33,6 +43,18 @@ def phase_panels(draw):
 
 THRESHOLDS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(
     lambda values: tuple(sorted(values)))
+
+
+def scored(phases, window, thresholds=(0.5,)):
+    """(R, blocks) of score_pairs, the blocks in the order the sink got them."""
+    blocks = []
+    ratios = score_pairs(phases, window, thresholds, blocks.append)
+    return ratios, blocks
+
+
+def pair_gamma2(phases, window):
+    """The sink's blocks stacked into one (pairs x samples) array."""
+    return np.vstack(scored(phases, window)[1])
 
 
 def assert_same_ratios(gamma2, other, thresholds):
@@ -59,11 +81,45 @@ def test_gamma2_in_unit_interval(panel):
 @PROPERTY
 @given(phase_panels(), THRESHOLDS)
 def test_ratio_never_increases_with_threshold(panel, thresholds):
-    gamma2 = pair_gamma2(*panel)
-    ratios = {r: ratio_above(gamma2, r) for r in thresholds}
-    for low, high in zip(thresholds, thresholds[1:]):
-        assert np.all(ratios[high] <= ratios[low])
-    assert all(np.all((0.0 <= ratios[r]) & (ratios[r] <= 1.0)) for r in thresholds)
+    ratios = score_pairs(*panel, thresholds)
+    for low, high in zip(ratios, ratios[1:]):
+        assert np.all(high <= low)
+    assert np.all((0.0 <= ratios) & (ratios <= 1.0))
+
+
+@PROPERTY
+@given(phase_panels(), THRESHOLDS)
+def test_counted_ratios_equal_ratio_above(panel, thresholds):
+    phases, window = panel
+    ratios, blocks = scored(phases, window, thresholds)
+    gamma2 = np.vstack(blocks)
+    for r, counted in zip(thresholds, ratios):
+        np.testing.assert_array_equal(counted, ratio_above(gamma2, r))
+
+
+@PROPERTY
+@given(phase_panels())
+def test_blocks_arrive_in_combinations_order(panel):
+    phases, window = panel
+    rows = [row for block in scored(phases, window)[1] for row in block]
+    pairs = list(combinations(range(len(phases)), 2))
+    assert len(rows) == len(pairs)
+    for (i, j), row in zip(pairs, rows):
+        np.testing.assert_array_equal(row, sync_index_windowed(phases[i] - phases[j], window))
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(0, 2**16), st.sampled_from([7, 13]),
+       st.booleans(), st.booleans())
+def test_blocks_equal_run_pipeline_gamma2(members, seed, window, detrend, trim):
+    panel = gen_regime_panel(members, RegimeSpec(segments=((60, "coupled"), (60, "uncoupled")),
+                                                 seed=seed))
+    config = PipelineConfig(band=FilterBand(4, 18), window=window, detrend=detrend, trim=trim)
+    result = run_pipeline(panel, config)
+    ratios, blocks = scored(panel_phases(panel, config)[0], window, config.thresholds)
+    np.testing.assert_array_equal(np.vstack(blocks), result.gamma2)
+    for r, counted in zip(config.thresholds, ratios):
+        np.testing.assert_array_equal(counted, result.ratios[r])
 
 
 @PROPERTY
@@ -84,6 +140,27 @@ def test_ratio_unchanged_by_common_phase_shift(panel, thresholds, shift):
     phases, window = panel
     assert_same_ratios(pair_gamma2(phases, window),
                        pair_gamma2(phases + shift, window), thresholds)
+
+
+def test_locked_sines_tie_at_r_one(tmp_path):
+    # exactly locked sines score gamma2 a rounding below 1; the streamed
+    # counts, ratio_above and the CLI's ratios.csv all count them at r = 1
+    assert main(["gen", "--sine", "--n", "240", "--period", "30", "--members", "4",
+                 "--phase", "0,0.5,1,1.5", "--out", str(tmp_path)]) == 0
+    assert main(["sync", str(tmp_path / "panel.csv"), "--kl", "4", "--ku", "18",
+                 "--window", "13", "--r", "1.0", "--no-detrend",
+                 "--out", str(tmp_path / "run")]) == 0
+    config = PipelineConfig(band=FilterBand(4, 18), window=13, thresholds=(1.0,),
+                            detrend=False)
+    phases = panel_phases(load_panel_csv(tmp_path / "panel.csv"), config)[0]
+    ratios, blocks = scored(phases, 13, (1.0,))
+    gamma2 = np.vstack(blocks)
+    assert np.any(gamma2 < 1.0)
+    np.testing.assert_array_equal(ratios[0], np.ones(gamma2.shape[1]))
+    np.testing.assert_array_equal(ratio_above(gamma2, 1.0), ratios[0])
+    with open(tmp_path / "run" / "ratios.csv", newline="") as fh:
+        written = [row[2] for row in csv.reader(fh)]
+    assert written == ["R_1"] + ["1"] * gamma2.shape[1]
 
 
 # id characters: plain ones, ones that make csv.writer quote the field, and
