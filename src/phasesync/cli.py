@@ -100,12 +100,20 @@ def _config(args, band: FilterBand, window: int) -> PipelineConfig:
 class _OutputTracker:
     """Records files as they are created so failures can clean them up."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, inputs):
         self.out_dir = out_dir
+        self.inputs = [Path(p) for p in inputs]  # files no output may replace
         self.written: list[Path] = []
 
     def target(self, name: str) -> Path:
+        """The path of output `name`. Raises ContractError, before the file
+        is opened or recorded, if it is the same file as an input."""
         path = self.out_dir / name
+        for source in self.inputs:
+            if path.exists() and source.exists() and path.samefile(source):
+                raise ContractError(
+                    f"output {path} is the input {source}: choose another --out"
+                )
         self.written.append(path)
         return path
 
@@ -118,18 +126,24 @@ class _OutputTracker:
 
 
 def cmd_filter(args, out: _OutputTracker) -> None:
-    panel = load_panel_csv(args.input)
-    band = _resolve_band(args, panel.n)
-    filtered = []
-    for member in panel:
-        x = detrend_linear(member.values) if args.detrend else member.values
-        filtered.append(TimeSeries(member.id, member.start, bandpass(x, band)))
-    write_panel_csv(Panel(tuple(filtered)), out.target("filtered.csv"))
+    """Band-pass every member of the input panel into filtered.csv.
+
+    Each input member is replaced by its filtered series as the loop goes,
+    so the input panel and the filtered panel are never both held whole;
+    the metadata items, which hash the input file, are taken first.
+    """
+    members = list(load_panel_csv(args.input))
+    n = members[0].n
+    band = _resolve_band(args, n)
     items = _header_items(args) + [
-        ("n_series", str(len(panel))),
-        ("n_months", str(panel.n)),
+        ("n_series", str(len(members))),
+        ("n_months", str(n)),
         ("detrend", str(args.detrend).lower()),
-    ] + band_items(panel.n, band)
+    ] + band_items(n, band)
+    for i, member in enumerate(members):
+        x = detrend_linear(member.values) if args.detrend else member.values
+        members[i] = TimeSeries(member.id, member.start, bandpass(x, band))
+    write_panel_csv(Panel(tuple(members)), out.target("filtered.csv"))
     write_metadata(out.target("metadata.txt"), items)
 
 
@@ -410,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _OutputTracker(Path(args.out))
+    inputs = [getattr(args, flag, None) for flag in ("input", "calendar")]
+    out = _OutputTracker(Path(args.out), [p for p in inputs if p is not None])
     try:
         out.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "filter":

@@ -234,9 +234,9 @@ class RecessionCalendar:
 
 
 # panel rows per block when a panel CSV is read or written: on a 150-member
-# panel one block's strings, floats and text take a few MB, never a copy of
-# the whole file
-_PANEL_BLOCK_ROWS = 256
+# panel one block's strings, floats and text take well under 1 MB, never a
+# copy of the whole file
+_PANEL_BLOCK_ROWS = 64
 
 
 def load_panel_csv(path) -> Panel:
@@ -250,7 +250,10 @@ def load_panel_csv(path) -> Panel:
 
     The file is read in one pass: each row's shape is checked as it
     arrives, and the cells are converted in blocks of _PANEL_BLOCK_ROWS
-    rows, so only one block is ever held as strings.
+    rows, so only one block is ever held as strings. Each converted block
+    is split into one piece per member and dropped; each series is then
+    built from its member's pieces, which are dropped in turn, so about
+    one copy of the panel's floats is held at a time.
     """
     with _csv_reader(path) as reader:
         header = next(reader, None)
@@ -270,7 +273,7 @@ def load_panel_csv(path) -> Panel:
 
         first = prev = None
         count = 0
-        blocks: list[np.ndarray] = []  # float rows of each converted block
+        pieces: list[list[np.ndarray]] = [[] for _ in ids]  # per member, each block's floats
         block: list[list[str]] = []  # cells of the rows not yet converted
         bad = None  # error for the first bad cell; raised after the shape checks
         for rownum, row in enumerate(reader, start=2):
@@ -294,22 +297,22 @@ def load_panel_csv(path) -> Panel:
             if bad is None:
                 block.append(row[1:])
                 if len(block) == _PANEL_BLOCK_ROWS:
-                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, blocks)
+                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, pieces)
                     block = []
     if count < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, got {count}")
     if bad is None and block:
-        bad = _convert_block(path, ids, block, count + 2 - len(block), blocks)
+        bad = _convert_block(path, ids, block, count + 2 - len(block), pieces)
     del block  # the last block's strings
     if bad is not None:
         raise bad
 
-    values = np.concatenate(blocks)
-    del blocks  # free the per-block arrays before each series copies its column
     try:
-        return Panel(tuple(
-            TimeSeries(sid, first, vals) for sid, vals in zip(ids, values.T)
-        ))
+        series = []
+        for sid, member_pieces in zip(ids, pieces):
+            series.append(TimeSeries(sid, first, np.concatenate(member_pieces)))
+            member_pieces.clear()  # the series holds its own copy
+        return Panel(tuple(series))
     except ContractError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
@@ -343,16 +346,18 @@ def _not_utf8(path) -> IngestionError:
     raise AssertionError("the file failed to decode, yet every line is UTF-8")
 
 
-def _convert_block(path, ids, cells, first_row, blocks) -> IngestionError | None:
-    """Append the float rows of `cells` to `blocks`, or return the error for
-    its first bad cell; `first_row` is the file row of its first row."""
+def _convert_block(path, ids, cells, first_row, pieces) -> IngestionError | None:
+    """Append each member's floats of `cells` to its list in `pieces`, or
+    return the error for the first bad cell; `first_row` is the file row of
+    its first row."""
     try:
         values = np.array(cells, dtype=float)  # float() of each cell
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
         return _bad_cell(path, ids, cells, first_row)
-    blocks.append(values)
+    for member_pieces, column in zip(pieces, values.T):
+        member_pieces.append(column.copy())  # a copy, so the block can be dropped
     return None
 
 
@@ -417,14 +422,18 @@ def _template_fields(fields) -> str:
 
 
 def write_panel_csv(panel: Panel, path) -> None:
-    """Write a panel in the format load_panel_csv reads, 12 significant digits."""
-    values = np.column_stack([s.values for s in panel.series])
-    dates = [(str(panel.month_at(i)),) for i in range(panel.n)]
+    """Write a panel in the format load_panel_csv reads, 12 significant digits.
+
+    Rows are written in blocks of _PANEL_BLOCK_ROWS: only the current
+    block's floats are stacked into rows and formatted, never the panel's.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(["date", *panel.ids]))
         for start in range(0, panel.n, _PANEL_BLOCK_ROWS):
-            stop = start + _PANEL_BLOCK_ROWS
-            fh.write(CsvRows(dates[start:stop]).text((), values[start:stop]))
+            stop = min(start + _PANEL_BLOCK_ROWS, panel.n)
+            dates = [(str(panel.month_at(i)),) for i in range(start, stop)]
+            values = np.array([s.values[start:stop] for s in panel.series])
+            fh.write(CsvRows(dates).text((), values.T))
 
 
 def load_recession_csv(path) -> RecessionCalendar:

@@ -260,8 +260,8 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> tuple[np.ndarray, int]
         )
     config.validate_for(panel.n)
 
-    phases, trim_offset = [], 0
-    for member in panel:
+    phases, trim_offset = None, 0  # (members, trimmed months), filled row by row
+    for i, member in enumerate(panel):
         try:
             x = member.values
             if config.detrend:
@@ -272,8 +272,10 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> tuple[np.ndarray, int]
             raise type(exc)(f"series '{member.id}': {exc}") from exc
         if config.trim:
             phi, trim_offset = trim_edges(phi, config.band)
-        phases.append(phi)
-    return np.vstack(phases), trim_offset
+        if phases is None:
+            phases = np.empty((len(panel), phi.size))
+        phases[i] = phi
+    return phases, trim_offset
 
 
 def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:

@@ -7,11 +7,12 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasesync
 import phasesync.sync
-from phasesync import Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
+from phasesync import Month, Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
 from phasesync.panel import CsvRows
 
@@ -123,6 +124,25 @@ class TestFilter:
         run("gen", "--regime", "coupled:60", "--out", gen_dir)
         assert run("filter", gen_dir / "panel.csv", "--out", tmp_path / "f") == 1
         assert "band is required" in capsys.readouterr().err
+
+    def test_peak_memory_about_one_copy_of_the_panel(self, tmp_path):
+        # 150 members x 3,000 months, 3.6 MB of floats: the loader's
+        # concatenation, the input and filtered panels held together and a
+        # column-stacked copy for the writer peak at about 3.7 times that;
+        # one copy of the panel at a time near 1.5
+        rng = np.random.default_rng(0)
+        write_panel_csv(Panel(tuple(
+            TimeSeries(f"s{i}", Month(2000, 1), rng.normal(size=3000)) for i in range(150)
+        )), tmp_path / "panel.csv")
+        tracemalloc.start()
+        try:
+            code = run("filter", tmp_path / "panel.csv", "--kl", 4, "--ku", 18,
+                       "--out", tmp_path / "flt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.6 * 150 * 3000 * 8
 
 
 class TestSync:
@@ -459,6 +479,59 @@ class TestMainContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3: not UTF-8 text" in err
         assert list(out.iterdir()) == []
+
+
+class TestOutputIsNotAnInput:
+    """An output that is the input panel or the calendar is refused before
+    it is opened: exit 1, no outputs, the input's bytes unchanged."""
+
+    def refused(self, capsys, out, source, named, *argv):
+        """Run argv, whose input `named` is the file `source` inside out."""
+        before = source.read_bytes()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / source.name) in err and str(named) in err
+        assert source.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == [source.name]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_filter(self, regime_panel, tmp_path, capsys, link):
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / "filtered.csv"
+        source.write_bytes(regime_panel.read_bytes())
+        named = source
+        if link:
+            named = tmp_path / "link.csv"
+            named.symlink_to(source)
+        self.refused(capsys, out, source, named,
+                     "filter", named, "--kl", 4, "--ku", 18, "--out", out)
+
+    def test_sync_input(self, regime_panel, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / "gamma2.csv"
+        source.write_bytes(regime_panel.read_bytes())
+        self.refused(capsys, out, source, source, "sync", source, "--kl", 4, "--ku", 18,
+                     "--window", 13, "--out", out)
+
+    def test_sync_calendar(self, regime_panel, tmp_path, capsys):
+        # gamma2.csv is written before ratios.csv is refused, then removed
+        out = tmp_path / "out"
+        out.mkdir()
+        calendar = out / "ratios.csv"
+        calendar.write_text("peak,trough\n1982-07,1983-11\n")
+        self.refused(capsys, out, calendar, calendar, "sync", regime_panel, "--kl", 4, "--ku", 18,
+                     "--window", 13, "--calendar", calendar, "--out", out)
+
+    def test_sweep(self, regime_panel, tmp_path, capsys):
+        # every ratios_W*.csv is written before stability.csv is refused
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / "stability.csv"
+        source.write_bytes(regime_panel.read_bytes())
+        self.refused(capsys, out, source, source, "sweep", source, "--kl", 4, "--ku", 18,
+                     "--windows", "11,13,15", "--out", out)
 
 
 def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from phasesync import (
     round_half_up,
     write_panel_csv,
 )
+from phasesync.panel import _PANEL_BLOCK_ROWS as BLOCK
 
 
 def make_panel(n=24, members=3, start=Month(2000, 1), seed=0):
@@ -26,6 +27,19 @@ def make_panel(n=24, members=3, start=Month(2000, 1), seed=0):
     return Panel(tuple(
         TimeSeries(f"s{i}", start, rng.normal(size=n)) for i in range(members)
     ))
+
+
+# file rows (header = row 1) of a long_csv(path, LONG_MONTHS) panel, as the
+# loader's blocks of BLOCK rows fall; the panel ends in a partial block
+LONG_MONTHS = 700
+LAST_ROW = LONG_MONTHS + 1
+FIRST_BLOCK_ROW = 2
+IN_SECOND_BLOCK = BLOCK + 2 + BLOCK // 2
+EARLY_IN_THIRD_BLOCK = 2 * BLOCK + 2 + BLOCK // 8
+IN_THIRD_BLOCK = 2 * BLOCK + 2 + BLOCK // 2
+LAST_OF_FOURTH_BLOCK = 4 * BLOCK + 1
+FIRST_OF_FIFTH_BLOCK = 4 * BLOCK + 2
+assert FIRST_OF_FIFTH_BLOCK < LAST_ROW and LONG_MONTHS % BLOCK, "lengthen LONG_MONTHS"
 
 
 def long_csv(path, n, replace=None):
@@ -293,30 +307,38 @@ class TestPanelCsv:
             load_panel_csv(path)
 
     def test_shape_error_in_third_block_before_bad_cell_in_first(self, tmp_path):
-        # cells are read in blocks of 256 rows: row 2 is in the first, row 600 in the third
-        path = long_csv(tmp_path / "p.csv", 700, {2: "oops,1", 600: "1"})
-        with pytest.raises(IngestionError, match=r"row 600: expected 3 cells, got 2"):
+        # cells are read in blocks of BLOCK rows: the bad cell is in the
+        # first block, the short row in the third
+        path = long_csv(tmp_path / "p.csv", LONG_MONTHS,
+                        {FIRST_BLOCK_ROW: "oops,1", IN_THIRD_BLOCK: "1"})
+        with pytest.raises(IngestionError,
+                           match=rf"row {IN_THIRD_BLOCK}: expected 3 cells, got 2"):
             load_panel_csv(path)
 
     @pytest.mark.parametrize("rownum, cell, problem", [
         (300, "oops", "non-numeric value 'oops'"),
         (300, "inf", "non-finite value 'inf'"),
         (300, " ", "missing value"),
-        (257, "nan", "non-finite value 'nan'"),  # last row of the first block
-        (258, "nan", "non-finite value 'nan'"),  # first row of the second block
-        (701, "1e400", "non-finite value '1e400'"),  # last row, in a partial block
+        (LAST_OF_FOURTH_BLOCK, "nan", "non-finite value 'nan'"),
+        (FIRST_OF_FIFTH_BLOCK, "nan", "non-finite value 'nan'"),
+        (LAST_ROW, "1e400", "non-finite value '1e400'"),  # in the partial block
     ])
     def test_bad_cell_in_later_block_names_its_row(self, tmp_path, rownum, cell, problem):
-        path = long_csv(tmp_path / "p.csv", 700, {rownum: f"{cell},1"})
+        path = long_csv(tmp_path / "p.csv", LONG_MONTHS, {rownum: f"{cell},1"})
         with pytest.raises(IngestionError, match=rf"row {rownum}, column 'a': {problem}$"):
             load_panel_csv(path)
 
     def test_first_bad_cell_across_blocks(self, tmp_path):
-        path = long_csv(tmp_path / "p.csv", 700, {600: "oops,1", 300: "1,nan", 520: ",1"})
-        with pytest.raises(IngestionError, match=r"row 300, column 'b': non-finite value 'nan'"):
+        path = long_csv(tmp_path / "p.csv", LONG_MONTHS, {
+            IN_THIRD_BLOCK: "oops,1", IN_SECOND_BLOCK: "1,nan", EARLY_IN_THIRD_BLOCK: ",1",
+        })
+        with pytest.raises(IngestionError,
+                           match=rf"row {IN_SECOND_BLOCK}, column 'b': non-finite value 'nan'"):
             load_panel_csv(path)
 
-    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    # panels of several blocks that end one row short of, on, and one row
+    # past a block boundary
+    @pytest.mark.parametrize("n", [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK + 1])
     def test_round_trip_across_block_boundaries(self, tmp_path, n):
         panel = make_panel(n=n, members=3, seed=n)
         first = tmp_path / "a.csv"
@@ -331,7 +353,9 @@ class TestPanelCsv:
 
     def test_peak_memory_a_few_times_the_values(self, tmp_path):
         # 150 members x 3,000 months: holding the whole file as strings peaks
-        # at about 11 times the 3.6 MB of floats, one block at a time near 2
+        # at about 11 times the 3.6 MB of floats; a concatenation of the
+        # blocks beside the series' copies near 2; one block of strings and
+        # each member's pieces near 1.4
         path = tmp_path / "p.csv"
         write_panel_csv(make_panel(n=3000, members=150), path)
         tracemalloc.start()
@@ -340,7 +364,27 @@ class TestPanelCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * len(panel) * panel.n * 8
+        assert peak < 1.6 * len(panel) * panel.n * 8
+
+    def test_write_peak_memory_one_block(self, tmp_path):
+        # column-stacking the whole panel before writing peaks at about 1.7
+        # times its floats; one block of rows at a time near 0.2
+        panel = make_panel(n=3000, members=150)
+        tracemalloc.start()
+        try:
+            write_panel_csv(panel, tmp_path / "p.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * len(panel) * panel.n * 8
+
+    def test_loaded_values_are_read_only_and_own_their_data(self, tmp_path):
+        path = long_csv(tmp_path / "p.csv", LONG_MONTHS)
+        panel = load_panel_csv(path)
+        for member in panel:
+            assert not member.values.flags.writeable
+            assert member.values.base is None
+            assert member.values.flags.c_contiguous
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.csv"

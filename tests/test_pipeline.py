@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,7 @@ from phasesync import (
     trim_edges,
     write_metadata,
 )
+from phasesync.pipeline import panel_phases
 
 BAND = FilterBand(4, 18)
 
@@ -188,6 +190,23 @@ class TestRunPipeline:
         panel = Panel((small_panel(2).series[0], flat))
         with pytest.raises(DegeneratePhaseError, match="flatliner"):
             run_pipeline(panel, PipelineConfig(band=BAND, window=13))
+
+
+def test_panel_phases_peak_memory_near_the_phases(tmp_path):
+    # 100 members x 2,000 months, band 20..90: stacking a list of per-member
+    # phases peaks at about 2.1 times the phases' bytes, filling one
+    # preallocated array near 1.1
+    spec = RegimeSpec(segments=((1000, "coupled"), (1000, "uncoupled")), seed=3)
+    panel = gen_regime_panel(100, spec)
+    config = PipelineConfig(band=FilterBand(20, 90), window=13)
+    tracemalloc.start()
+    try:
+        phases, trim_offset = panel_phases(panel, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phases.shape == (100, 2000 - 2 * trim_offset)
+    assert peak < 1.5 * phases.nbytes
 
 
 class TestRatioAbove:
