@@ -33,13 +33,7 @@ from .pipeline import (
     run_pipeline,
     write_metadata,
 )
-from .spectral import (
-    FourierCoefficients,
-    bandpass,
-    detrend_linear,
-    fourier_analyze,
-    trim_edges,
-)
+from .spectral import bandpass, detrend_linear, trim_edges
 from .sync import sync_index_windowed
 from .synthetic import DETUNE_WALK_STEP, RegimeSpec, gen_regime_panel, gen_sine
 
@@ -51,7 +45,6 @@ __all__ = [
     "DegeneratePhaseError",
     "DETUNE_WALK_STEP",
     "FilterBand",
-    "FourierCoefficients",
     "IngestionError",
     "Month",
     "Panel",
@@ -68,7 +61,6 @@ __all__ = [
     "band_from_periods",
     "bandpass",
     "detrend_linear",
-    "fourier_analyze",
     "gen_regime_panel",
     "gen_sine",
     "hilbert",

@@ -47,7 +47,7 @@ class AnalyticSeries:
 
     def __post_init__(self):
         for name in ("s", "s_h", "amplitude", "phase"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -39,6 +39,7 @@ from .pipeline import (
     check_overlap,
     gamma_csv_sink,
     panel_phases,
+    run_pipeline,
     write_metadata,
 )
 from .spectral import bandpass, detrend_linear
@@ -147,29 +148,18 @@ def cmd_filter(args, out: _OutputTracker) -> None:
     write_metadata(out.target("metadata.txt"), items)
 
 
-def _scored(panel: Panel, meta: ResultMeta, phases: np.ndarray, sink=None) -> SyncResult:
-    """Score every pair of the panel's phases. The result keeps no gamma2:
-    each member's block of scores goes to sink, if given, and is dropped."""
-    thresholds = meta.config.thresholds
-    ratios = score_pairs(phases, meta.config.window, thresholds, sink)
-    return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=None,
-                      ratios=dict(zip(thresholds, ratios)), meta=meta)
-
-
 def cmd_sync(args, out: _OutputTracker) -> None:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
-    phases, trim_offset = panel_phases(panel, config)
-    meta = ResultMeta(config, len(panel), panel.n, panel.start, trim_offset)
+    meta = ResultMeta.of(panel, config)
     calendar = None
     if args.calendar is not None:
-        # a bad calendar fails before any pair is scored or gamma2.csv opened
+        # a bad calendar fails before any series is filtered or gamma2.csv opened
         calendar = load_recession_csv(args.calendar)
         check_overlap(meta, calendar)
 
     with open(out.target("gamma2.csv"), "w", encoding="utf-8", newline="") as fh:
-        result = _scored(panel, meta, phases,
-                         gamma_csv_sink(fh, meta, combinations(panel.ids, 2)))
+        result = run_pipeline(panel, config, gamma_csv_sink(fh, meta))
 
     labels = None
     regime_items: list[tuple[str, str]] = []
@@ -239,26 +229,24 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     # the axis held fixed is recorded in the metadata
     if windows is not None:
         band = _resolve_band(args, panel.n)
-        settings = [(f"W{w}", _config(args, band, w)) for w in windows]
+        configs = {f"W{w}": _config(args, band, w) for w in windows}
         fixed_items = band_items(panel.n, band)
     else:
-        settings = [(f"kl{band.lower}_ku{band.upper}", _config(args, band, args.window))
-                    for band in bands]
+        configs = {f"kl{band.lower}_ku{band.upper}": _config(args, band, args.window)
+                   for band in bands}
         fixed_items = [("window", str(args.window))]
-    for _, config in settings:
-        config.validate_for(panel.n)
+    metas = {label: ResultMeta.of(panel, config) for label, config in configs.items()}
 
-    phased = {}  # band -> (phases, trim offset): a --windows sweep filters once
+    phased = {}  # band -> phases: a --windows sweep filters once
     kept = []  # (label, first month, thresholds x samples R)
-    for label, config in settings:
+    for label, meta in metas.items():
+        config = meta.config
         if config.band not in phased:
             phased[config.band] = panel_phases(panel, config)
-        phases, trim_offset = phased[config.band]
-        result = _scored(panel, ResultMeta(config, len(panel), panel.n, panel.start,
-                                           trim_offset), phases)
-        result.write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
-        kept.append((label, result.month_of(0),
-                     np.vstack([result.ratios[r] for r in thresholds])))
+        ratios = score_pairs(phased[config.band], config.window, thresholds)
+        SyncResult(gamma2=None, ratios=dict(zip(thresholds, ratios)),
+                   meta=meta).write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
+        kept.append((label, meta.anchor, ratios))
 
     # common support: months covered by every setting (trim and window vary);
     # each setting's samples are consecutive months from its first month
@@ -283,7 +271,7 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     items = _header_items(args) + [
         ("n_series", str(len(panel))),
         ("n_months", str(panel.n)),
-        ("settings", ",".join(label for label, _ in settings)),
+        ("settings", ",".join(metas)),
         *fixed_items,
         ("thresholds", ",".join(format(r, "g") for r in thresholds)),
         ("detrend", str(args.detrend).lower()),

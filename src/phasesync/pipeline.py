@@ -27,7 +27,7 @@ from .panel import (
     periods_of_band,
     round_half_up,
 )
-from .spectral import bandpass, detrend_linear, trim_edges
+from .spectral import bandpass, detrend_linear
 # RATIO_TOL is re-exported for callers that import it from here
 from .sync import RATIO_TOL, check_window, lock_counts, score_pairs  # noqa: F401
 
@@ -62,29 +62,41 @@ class PipelineConfig:
             raise ContractError("amplitude_floor must be non-negative")
         object.__setattr__(self, "thresholds", thresholds)
 
-    def validate_for(self, n: int) -> None:
-        """Check the config against a panel length before running."""
-        self.band.validate_for(n)
-        usable = n
-        if self.trim:
-            usable = n - 2 * round_half_up(n / self.band.upper)
-        if usable < self.window:
-            raise ContractError(
-                f"window {self.window} does not fit the {usable} months left "
-                f"after trimming a {n}-month panel for band "
-                f"({self.band.lower}, {self.band.upper})"
-            )
-
 
 @dataclass(frozen=True)
 class ResultMeta:
-    """Provenance and alignment for one pipeline run."""
+    """Provenance and alignment for one pipeline run; build it with of()."""
 
     config: PipelineConfig
-    n_series: int
+    ids: tuple[str, ...]
     n_months: int
     panel_start: Month
     trim_offset: int
+
+    @classmethod
+    def of(cls, panel: Panel, config: PipelineConfig) -> "ResultMeta":
+        """The geometry of config run on panel; the trim offset per end is
+        round_half_up(n / band.upper) when config.trim, else 0. Raises
+        ContractError for < 2 series, or a band or window that does not fit."""
+        if len(panel) < 2:
+            raise ContractError(
+                f"need >= 2 series for pairwise synchronization, got {len(panel)}"
+            )
+        n, band = panel.n, config.band
+        band.validate_for(n)
+        trim_offset = round_half_up(n / band.upper) if config.trim else 0
+        usable = n - 2 * trim_offset
+        if usable < config.window:
+            raise ContractError(
+                f"window {config.window} does not fit the {usable} months left "
+                f"after trimming a {n}-month panel for band "
+                f"({band.lower}, {band.upper})"
+            )
+        return cls(config, panel.ids, n, panel.start, trim_offset)
+
+    @property
+    def n_series(self) -> int:
+        return len(self.ids)
 
     @property
     def anchor(self) -> Month:
@@ -116,12 +128,10 @@ class SyncResult:
 
     pairs lists (id_i, id_j), i before j in panel order; row k of the
     read-only (pairs x samples) array gamma2 is pair k's windowed index.
-    gamma2 is None when the caller passed the scores to a sink as they
-    were made instead of keeping them (the CLI does). ratios maps each
-    threshold r to the R_t sequence.
+    gamma2 is None exactly when run_pipeline was given a sink, which got
+    the scores instead. ratios maps each threshold r to the R_t sequence.
     """
 
-    pairs: tuple[tuple[str, str], ...]
     gamma2: np.ndarray | None
     ratios: dict[float, np.ndarray]
     meta: ResultMeta
@@ -131,8 +141,12 @@ class SyncResult:
             self.gamma2.flags.writeable = False
 
     @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(combinations(self.meta.ids, 2))
+
+    @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return self.meta.n_series * (self.meta.n_series - 1) // 2
 
     @property
     def n_samples(self) -> int:
@@ -152,8 +166,10 @@ class SyncResult:
 
     def write_gamma_csv(self, path) -> None:
         """Long format: t,date,pair_i,pair_j,gamma2."""
+        if self.gamma2 is None:
+            raise ContractError("no gamma2 to write: run_pipeline passed it to a sink")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            gamma_csv_sink(fh, self.meta, self.pairs)(self.gamma2)
+            gamma_csv_sink(fh, self.meta)(self.gamma2)
 
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
@@ -223,15 +239,15 @@ def write_metadata(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def gamma_csv_sink(fh, meta: ResultMeta, pairs):
+def gamma_csv_sink(fh, meta: ResultMeta):
     """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to fh and
     return a score_pairs sink that writes the rows of each block it gets.
 
-    Block rows are matched to pairs in order, so the blocks must arrive in
-    the order of pairs.
+    Block rows are matched to the pairs of meta.ids in combinations order,
+    the order score_pairs sends them in.
     """
     rows = CsvRows(meta.sample_fields())
-    pairs = iter(pairs)
+    pairs = combinations(meta.ids, 2)
     fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
 
     def write_block(block: np.ndarray) -> None:
@@ -241,66 +257,57 @@ def gamma_csv_sink(fh, meta: ResultMeta, pairs):
     return write_block
 
 
-def panel_phases(panel: Panel, config: PipelineConfig) -> tuple[np.ndarray, int]:
-    """The (members, months) phases of a panel and the trim offset.
+def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
+    """The (members, months - 2 x trim offset) phases of a panel.
 
     Per series: optional linear detrend, band-pass, analytic signal, then
-    (when config.trim) edge-trimming; the trim offset is 0 without it.
+    the trim offset of ResultMeta.of is dropped from each end.
 
     Raises
     ------
     ContractError
-        Config unfit for the panel, or fewer than 2 series.
+        What ResultMeta.of raises.
     DegeneratePhaseError
         Some series' filtered amplitude collapses; message names it.
     """
-    if len(panel) < 2:
-        raise ContractError(
-            f"need >= 2 series for pairwise synchronization, got {len(panel)}"
-        )
-    config.validate_for(panel.n)
-
-    phases, trim_offset = None, 0  # (members, trimmed months), filled row by row
+    m = ResultMeta.of(panel, config).trim_offset
+    phases = np.empty((len(panel), panel.n - 2 * m))
     for i, member in enumerate(panel):
         try:
             x = member.values
             if config.detrend:
                 x = detrend_linear(x)
             filtered = bandpass(x, config.band)
-            phi = analytic_signal(filtered, config.amplitude_floor).phase
+            phases[i] = analytic_signal(filtered, config.amplitude_floor).phase[m:panel.n - m]
         except PhaseSyncError as exc:
             raise type(exc)(f"series '{member.id}': {exc}") from exc
-        if config.trim:
-            phi, trim_offset = trim_edges(phi, config.band)
-        if phases is None:
-            phases = np.empty((len(panel), phi.size))
-        phases[i] = phi
-    return phases, trim_offset
+    return phases
 
 
-def run_pipeline(panel: Panel, config: PipelineConfig) -> SyncResult:
+def run_pipeline(panel: Panel, config: PipelineConfig, sink=None) -> SyncResult:
     """Run the full synchronization analysis over a panel.
 
     The panel's phases (panel_phases) are scored pair by pair with the
     windowed index (score_pairs); ratios count the fraction of pairs at
-    or above each threshold (see lock_counts for the comparison). Raises
+    or above each threshold (see lock_counts for the comparison). With a
+    sink, each member's block of scores goes to sink in pair order and
+    the result's gamma2 is None; without, the blocks fill gamma2. Raises
     what panel_phases raises.
     """
-    phases, trim_offset = panel_phases(panel, config)
-    meta = ResultMeta(config=config, n_series=len(panel), n_months=panel.n,
-                      panel_start=panel.start, trim_offset=trim_offset)
-    members = len(panel)
-    gamma2 = np.empty((members * (members - 1) // 2, meta.n_samples))
-    start = 0
+    meta = ResultMeta.of(panel, config)
+    phases = panel_phases(panel, config)
+    gamma2 = None
+    if sink is None:
+        gamma2 = np.empty((len(panel) * (len(panel) - 1) // 2, meta.n_samples))
+        start = 0
 
-    def keep(block: np.ndarray) -> None:
-        nonlocal start
-        gamma2[start:start + len(block)] = block
-        start += len(block)
+        def sink(block: np.ndarray) -> None:
+            nonlocal start
+            gamma2[start:start + len(block)] = block
+            start += len(block)
 
-    ratios = score_pairs(phases, config.window, config.thresholds, keep)
-    return SyncResult(pairs=tuple(combinations(panel.ids, 2)), gamma2=gamma2,
-                      ratios=dict(zip(config.thresholds, ratios)), meta=meta)
+    ratios = score_pairs(phases, config.window, config.thresholds, sink)
+    return SyncResult(gamma2=gamma2, ratios=dict(zip(config.thresholds, ratios)), meta=meta)
 
 
 def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:

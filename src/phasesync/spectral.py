@@ -1,4 +1,4 @@
-"""Fourier analysis, band-pass reconstruction, detrending, edge trimming.
+"""Fourier band-pass, detrending, edge trimming.
 
 A length-N real series is treated as one period of a periodic function and
 decomposed into modes k = 0..floor(N/2) (cycles per record). Band-passing
@@ -7,8 +7,6 @@ resynthesizes; everything else is zeroed, including the mean.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,78 +24,6 @@ def _as_series(values, minimum: int = 2) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ContractError(f"non-finite value at index {bad}")
     return x
-
-
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Real trigonometric coefficients of a length-n series.
-
-    a[k] multiplies cos(2*pi*k*t/n) and b[k] multiplies sin(2*pi*k*t/n) for
-    k = 0..floor(n/2); b[0] is identically 0. The series equals
-    a[0]/2 + sum over k >= 1, exactly (up to rounding), under this scaling:
-    a[k], b[k] carry 2/n for 0 < k < n/2, and the k = n/2 term of an even-n
-    record carries 1/n (it appears once, with b[n//2] = 0).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        half = self.n // 2
-        if self.a.shape != (half + 1,) or self.b.shape != (half + 1,):
-            raise ContractError(
-                f"coefficient arrays must have length floor(n/2)+1 = {half + 1}"
-            )
-
-    def synthesize(self, band: FilterBand | None = None) -> np.ndarray:
-        """Evaluate the trigonometric sum directly (no FFT).
-
-        With band=None the full series is rebuilt, mean included. With a
-        band, only modes inside it are summed: the band-pass partial sum.
-        """
-        if band is None:
-            lo, hi = 1, self.n // 2
-            out = np.full(self.n, self.a[0] / 2.0)
-        else:
-            band.validate_for(self.n)
-            lo, hi = band.lower, band.upper
-            out = np.zeros(self.n)
-        t = np.arange(self.n)
-        for k in range(lo, hi + 1):
-            theta = (2.0 * np.pi * k / self.n) * t
-            out += self.a[k] * np.cos(theta) + self.b[k] * np.sin(theta)
-        return out
-
-
-def fourier_analyze(series) -> FourierCoefficients:
-    """Decompose a real series into trigonometric coefficients.
-
-    Parameters
-    ----------
-    series : array_like
-        Finite values, length >= 2.
-
-    Returns
-    -------
-    FourierCoefficients
-        Scaled so that ``synthesize()`` reproduces the input: a[0] is twice
-        the mean, interior modes carry 2/n, and the Nyquist mode of an
-        even-length record carries 1/n.
-    """
-    x = _as_series(series)
-    n = x.size
-    spectrum = np.fft.rfft(x)
-    a = 2.0 * spectrum.real / n
-    b = -2.0 * spectrum.imag / n
-    b[0] = 0.0
-    if n % 2 == 0:
-        # rfft's last bin is the Nyquist mode, which the trig sum counts once
-        a[-1] = spectrum.real[-1] / n
-        b[-1] = 0.0
-    return FourierCoefficients(a=a, b=b, n=n)
 
 
 def bandpass(series, band: FilterBand) -> np.ndarray:

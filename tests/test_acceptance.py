@@ -26,7 +26,6 @@ from phasesync import (
     analytic_signal,
     band_from_periods,
     bandpass,
-    fourier_analyze,
     gen_regime_panel,
     gen_sine,
     hilbert,
@@ -37,6 +36,8 @@ from phasesync import (
     trim_edges,
 )
 from phasesync.cli import main as cli_main
+
+from fourier_reference import fourier_analyze
 
 BAND = FilterBand(4, 18)
 

@@ -126,3 +126,12 @@ class TestAnalyticSignal:
     def test_floor_default_accepts_clean_signal(self):
         result = analytic_signal(band_limited(256, seed=6))
         assert result.n == 256
+
+    def test_leaves_the_input_writable(self):
+        x = band_limited(64, seed=7)
+        result = analytic_signal(x)
+        assert x.flags.writeable
+        assert not result.s.flags.writeable
+        before = x.copy()
+        x[0] += 1.0  # the result holds its own copy
+        np.testing.assert_array_equal(result.s, before)

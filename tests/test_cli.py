@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import phasesync
+import phasesync.pipeline
 import phasesync.sync
 from phasesync import Month, Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
@@ -272,7 +273,15 @@ class TestStreamedSync:
         ("peak,trough\n1950-01,1951-01\n", "calendar episodes are disjoint"),
     ], ids=["missing", "disjoint"])
     def test_bad_calendar_fails_before_scoring(self, regime_panel, tmp_path, capsys,
-                                               kernel_calls, calendar_text, message):
+                                               monkeypatch, kernel_calls, calendar_text,
+                                               message):
+        bandpassed, bandpass = [], phasesync.pipeline.bandpass
+
+        def counted_bandpass(*args):
+            bandpassed.append(1)
+            return bandpass(*args)
+
+        monkeypatch.setattr(phasesync.pipeline, "bandpass", counted_bandpass)
         calendar = tmp_path / "cal.csv"
         if calendar_text is not None:
             calendar.write_text(calendar_text)
@@ -281,6 +290,7 @@ class TestStreamedSync:
                    "--calendar", calendar, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert bandpassed == []  # the calendar is checked before any series is filtered
         assert kernel_calls == []
         assert list(out.iterdir()) == []
 

@@ -14,6 +14,7 @@ from phasesync import (
     PipelineConfig,
     RecessionCalendar,
     RegimeSpec,
+    ResultMeta,
     TimeSeries,
     analytic_signal,
     annotate_recessions,
@@ -62,10 +63,18 @@ class TestPipelineConfig:
             PipelineConfig(band=BAND, **{"window": 13, **kwargs})
 
     def test_window_must_fit_after_trim(self):
-        # N=60, upper=18 -> margin 3, usable 54
-        PipelineConfig(band=BAND, window=53).validate_for(60)
-        with pytest.raises(ContractError, match="window 55"):
-            PipelineConfig(band=BAND, window=55).validate_for(60)
+        # N=61, upper=18 -> margin 3, usable 55: a 55-month window gives one sample
+        panel = small_panel(2, n=61)
+        meta = ResultMeta.of(panel, PipelineConfig(band=BAND, window=53))
+        assert (meta.trim_offset, meta.n_samples) == (3, 3)
+        assert ResultMeta.of(panel, PipelineConfig(band=BAND, window=55)).n_samples == 1
+        with pytest.raises(ContractError, match="window 57 does not fit the 55 months"):
+            ResultMeta.of(panel, PipelineConfig(band=BAND, window=57))
+        # untrimmed, all 61 months are usable
+        meta = ResultMeta.of(panel, PipelineConfig(band=BAND, window=61, trim=False))
+        assert (meta.trim_offset, meta.n_samples) == (0, 1)
+        with pytest.raises(ContractError, match="window 63 does not fit the 61 months"):
+            ResultMeta.of(panel, PipelineConfig(band=BAND, window=63, trim=False))
 
 
 class TestRunPipeline:
@@ -201,11 +210,11 @@ def test_panel_phases_peak_memory_near_the_phases(tmp_path):
     config = PipelineConfig(band=FilterBand(20, 90), window=13)
     tracemalloc.start()
     try:
-        phases, trim_offset = panel_phases(panel, config)
+        phases = panel_phases(panel, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert phases.shape == (100, 2000 - 2 * trim_offset)
+    assert phases.shape == (100, 2000 - 2 * ResultMeta.of(panel, config).trim_offset)
     assert peak < 1.5 * phases.nbytes
 
 
@@ -306,6 +315,15 @@ class TestResultOutputs:
         assert first[1] == str(result.month_of(0))
         assert float(first[4]) == pytest.approx(
             result.gamma2[result.pairs.index(("m01", "m02")), 0], rel=1e-11)
+
+    def test_gamma_csv_refused_when_a_sink_took_gamma2(self, tmp_path):
+        result = run_pipeline(small_panel(3, n=120, seed=9),
+                              PipelineConfig(band=FilterBand(2, 9), window=13),
+                              lambda block: None)
+        path = tmp_path / "gamma2.csv"
+        with pytest.raises(ContractError, match="passed it to a sink"):
+            result.write_gamma_csv(path)
+        assert not path.exists()
 
     def test_ratio_long_csv(self, result, tmp_path):
         path = tmp_path / "ratios_long.csv"

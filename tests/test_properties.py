@@ -116,10 +116,17 @@ def test_blocks_equal_run_pipeline_gamma2(members, seed, window, detrend, trim):
                                                  seed=seed))
     config = PipelineConfig(band=FilterBand(4, 18), window=window, detrend=detrend, trim=trim)
     result = run_pipeline(panel, config)
-    ratios, blocks = scored(panel_phases(panel, config)[0], window, config.thresholds)
+    ratios, blocks = scored(panel_phases(panel, config), window, config.thresholds)
     np.testing.assert_array_equal(np.vstack(blocks), result.gamma2)
     for r, counted in zip(config.thresholds, ratios):
         np.testing.assert_array_equal(counted, result.ratios[r])
+    # with a sink, run_pipeline hands it the same blocks and keeps no gamma2
+    sunk = []
+    streamed = run_pipeline(panel, config, sunk.append)
+    assert streamed.gamma2 is None
+    np.testing.assert_array_equal(np.vstack(sunk), result.gamma2)
+    for r in config.thresholds:
+        np.testing.assert_array_equal(streamed.ratios[r], result.ratios[r])
 
 
 @PROPERTY
@@ -152,7 +159,7 @@ def test_locked_sines_tie_at_r_one(tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
     config = PipelineConfig(band=FilterBand(4, 18), window=13, thresholds=(1.0,),
                             detrend=False)
-    phases = panel_phases(load_panel_csv(tmp_path / "panel.csv"), config)[0]
+    phases = panel_phases(load_panel_csv(tmp_path / "panel.csv"), config)
     ratios, blocks = scored(phases, 13, (1.0,))
     gamma2 = np.vstack(blocks)
     assert np.any(gamma2 < 1.0)
