@@ -25,15 +25,13 @@ from .panel import (
 )
 from .pipeline import (
     PipelineConfig,
-    RegimeAnnotation,
     ResultMeta,
     SyncResult,
-    annotate_recessions,
     ratio_above,
     run_pipeline,
     write_metadata,
 )
-from .spectral import bandpass, detrend_linear, trim_edges
+from .spectral import bandpass, detrend_linear
 from .sync import sync_index_windowed
 from .synthetic import DETUNE_WALK_STEP, RegimeSpec, gen_regime_panel, gen_sine
 
@@ -51,13 +49,11 @@ __all__ = [
     "PhaseSyncError",
     "PipelineConfig",
     "RecessionCalendar",
-    "RegimeAnnotation",
     "RegimeSpec",
     "ResultMeta",
     "SyncResult",
     "TimeSeries",
     "analytic_signal",
-    "annotate_recessions",
     "band_from_periods",
     "bandpass",
     "detrend_linear",
@@ -71,7 +67,6 @@ __all__ = [
     "round_half_up",
     "run_pipeline",
     "sync_index_windowed",
-    "trim_edges",
     "write_metadata",
     "write_panel_csv",
     "__version__",

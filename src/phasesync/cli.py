@@ -34,9 +34,7 @@ from .pipeline import (
     PipelineConfig,
     ResultMeta,
     SyncResult,
-    annotate_recessions,
     band_items,
-    check_overlap,
     gamma_csv_sink,
     panel_phases,
     run_pipeline,
@@ -152,25 +150,24 @@ def cmd_sync(args, out: _OutputTracker) -> None:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
     meta = ResultMeta.of(panel, config)
-    calendar = None
+    mask = None
     if args.calendar is not None:
         # a bad calendar fails before any series is filtered or gamma2.csv opened
-        calendar = load_recession_csv(args.calendar)
-        check_overlap(meta, calendar)
+        mask = meta.contraction_mask(load_recession_csv(args.calendar))
 
     with open(out.target("gamma2.csv"), "w", encoding="utf-8", newline="") as fh:
         result = run_pipeline(panel, config, gamma_csv_sink(fh, meta))
 
     labels = None
     regime_items: list[tuple[str, str]] = []
-    if calendar is not None:
-        annotation = annotate_recessions(result, calendar)
-        labels = annotation.labels
+    if mask is not None:
+        labels = tuple("contraction" if c else "expansion" for c in mask)
+        regimes = [(regime, m) for regime, m in (("contraction", mask), ("expansion", ~mask))
+                   if m.any()]
         for r in config.thresholds:
-            for regime, mean in annotation.regime_means[r].items():
-                regime_items.append(
-                    (f"mean_R_{format(r, 'g')}_{regime}", format(mean, ".12g"))
-                )
+            for regime, m in regimes:
+                regime_items.append((f"mean_R_{format(r, 'g')}_{regime}",
+                                     format(result.ratios[r][m].mean(), ".12g")))
 
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))

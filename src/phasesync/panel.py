@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, IngestionError
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 def round_half_up(x: float) -> int:
@@ -37,7 +37,7 @@ class Month:
     @classmethod
     def parse(cls, text: str) -> "Month":
         """Parse 'YYYY-MM'."""
-        m = _MONTH_RE.match(text)
+        m = _MONTH_RE.fullmatch(text)
         if m is None:
             raise ContractError(f"expected YYYY-MM date, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -225,12 +225,13 @@ class RecessionCalendar:
             prev_trough = t
         object.__setattr__(self, "episodes", eps)
 
-    def is_contraction(self, month: Month) -> bool:
-        return any(p < month <= t for p, t in self.episodes)
-
-    def overlaps(self, first: Month, last: Month) -> bool:
-        """True if any contraction month falls inside [first, last]."""
-        return any(p + 1 <= last and t >= first for p, t in self.episodes)
+    def contraction_mask(self, first: Month, count: int) -> np.ndarray:
+        """Whether each of the count months from first is a contraction
+        month, one with peak < month <= trough for some episode."""
+        mask = np.zeros(count, dtype=bool)
+        for p, t in self.episodes:
+            mask[max(p + 1 - first, 0):max(t + 1 - first, 0)] = True
+        return mask
 
 
 # panel rows per block when a panel CSV is read or written: on a 150-member

@@ -50,6 +50,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_window(self.window)
+        object.__setattr__(self, "window", int(self.window))
         thresholds = tuple(float(r) for r in self.thresholds)
         if not thresholds:
             raise ContractError("need at least one threshold")
@@ -75,16 +76,17 @@ class ResultMeta:
 
     @classmethod
     def of(cls, panel: Panel, config: PipelineConfig) -> "ResultMeta":
-        """The geometry of config run on panel; the trim offset per end is
-        round_half_up(n / band.upper) when config.trim, else 0. Raises
-        ContractError for < 2 series, or a band or window that does not fit."""
+        """The geometry of config run on panel; the trim offset per end is the
+        band's shortest period rounded half up when config.trim, else 0.
+        Raises ContractError for < 2 series, or a band or window that does
+        not fit."""
         if len(panel) < 2:
             raise ContractError(
                 f"need >= 2 series for pairwise synchronization, got {len(panel)}"
             )
         n, band = panel.n, config.band
-        band.validate_for(n)
-        trim_offset = round_half_up(n / band.upper) if config.trim else 0
+        shortest, _ = periods_of_band(n, band)
+        trim_offset = round_half_up(shortest) if config.trim else 0
         usable = n - 2 * trim_offset
         if usable < config.window:
             raise ContractError(
@@ -115,6 +117,17 @@ class ResultMeta:
     def month_of(self, idx: int) -> Month:
         """Calendar month at which sample idx is centered."""
         return self.anchor + idx
+
+    def contraction_mask(self, calendar: RecessionCalendar) -> np.ndarray:
+        """RecessionCalendar.contraction_mask over the sample months. Raises
+        ContractError when no sample month is a contraction month."""
+        mask = calendar.contraction_mask(self.anchor, self.n_samples)
+        if not mask.any():
+            raise ContractError(
+                f"calendar episodes are disjoint from the result range "
+                f"{self.anchor}..{self.month_of(self.n_samples - 1)}"
+            )
+        return mask
 
     def sample_fields(self) -> list[tuple[str, str]]:
         """(t, date) of every sample, the leading fields of each CSV row."""
@@ -324,49 +337,3 @@ def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
     if not 0.0 <= r <= 1.0:
         raise ContractError(f"threshold must lie in [0, 1], got {r}")
     return lock_counts(gamma2, r) / gamma2.shape[0]
-
-
-@dataclass(frozen=True)
-class RegimeAnnotation:
-    """Per-sample regime labels plus regime-mean ratios."""
-
-    months: tuple[Month, ...]
-    labels: tuple[str, ...]
-    regime_means: dict[float, dict[str, float]]
-
-
-def check_overlap(meta: ResultMeta, calendar: RecessionCalendar) -> None:
-    """Raise ContractError unless some contraction month of the calendar
-    falls inside the result's sample months."""
-    first, last = meta.anchor, meta.month_of(meta.n_samples - 1)
-    if not calendar.overlaps(first, last):
-        raise ContractError(
-            f"calendar episodes are disjoint from the result range {first}..{last}"
-        )
-
-
-def annotate_recessions(result: SyncResult, calendar: RecessionCalendar) -> RegimeAnnotation:
-    """Label every result sample contraction or expansion.
-
-    A month is a contraction when some episode has peak < month <= trough
-    (the peak month is the last expansion month, the trough month the last
-    contraction month). Also aggregates mean R_t per regime for each
-    threshold. Raises ContractError when the calendar and the result do
-    not overlap at all (check_overlap).
-    """
-    check_overlap(result.meta, calendar)
-    months = tuple(result.month_of(idx) for idx in range(result.n_samples))
-    labels = tuple(
-        "contraction" if calendar.is_contraction(m) else "expansion"
-        for m in months
-    )
-    mask = np.array([label == "contraction" for label in labels])
-    regime_means: dict[float, dict[str, float]] = {}
-    for r, ratio in result.ratios.items():
-        means: dict[str, float] = {}
-        if mask.any():
-            means["contraction"] = float(ratio[mask].mean())
-        if (~mask).any():
-            means["expansion"] = float(ratio[~mask].mean())
-        regime_means[r] = means
-    return RegimeAnnotation(months=months, labels=labels, regime_means=regime_means)

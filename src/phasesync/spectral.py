@@ -1,4 +1,4 @@
-"""Fourier band-pass, detrending, edge trimming.
+"""Fourier band-pass and detrending.
 
 A length-N real series is treated as one period of a periodic function and
 decomposed into modes k = 0..floor(N/2) (cycles per record). Band-passing
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .panel import FilterBand, round_half_up
+from .panel import FilterBand
 
 
 def _as_series(values, minimum: int = 2) -> np.ndarray:
@@ -48,19 +48,3 @@ def detrend_linear(series) -> np.ndarray:
     t -= t.mean()
     slope = (t @ (x - x.mean())) / (t @ t)
     return x - x.mean() - slope * t
-
-
-def trim_edges(series, band: FilterBand) -> tuple[np.ndarray, int]:
-    """Drop one period of the band's highest frequency from each end.
-
-    The margin is m = round_half_up(n / band.upper). Returns the middle
-    n - 2m points and m itself, so callers can re-anchor dates.
-    """
-    x = _as_series(series)
-    band.validate_for(x.size)
-    m = round_half_up(x.size / band.upper)
-    if x.size <= 2 * m:
-        raise ContractError(
-            f"series of length {x.size} too short to trim {m} points per end"
-        )
-    return x[m : x.size - m].copy(), m

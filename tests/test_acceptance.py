@@ -22,6 +22,7 @@ from phasesync import (
     Panel,
     PipelineConfig,
     RegimeSpec,
+    ResultMeta,
     TimeSeries,
     analytic_signal,
     band_from_periods,
@@ -33,7 +34,6 @@ from phasesync import (
     round_half_up,
     run_pipeline,
     sync_index_windowed,
-    trim_edges,
 )
 from phasesync.cli import main as cli_main
 
@@ -156,12 +156,12 @@ def test_criterion_04_locked_sine_pair():
         phases.append(analytic_signal(filtered).phase)
     psi = phases[0] - phases[1]
     wrapped = np.mod(psi + np.pi, 2.0 * np.pi) - np.pi
-    interior, margin = trim_edges(wrapped, band)
-    psi_err = np.abs(interior - np.pi / 2).max()
+    config = PipelineConfig(band=band, window=13, detrend=False)
+    margin = ResultMeta.of(Panel((lead, lag)), config).trim_offset
+    psi_err = np.abs(wrapped[margin:n - margin] - np.pi / 2).max()
     assert psi_err <= 1e-6
 
-    result = run_pipeline(Panel((lead, lag)),
-                          PipelineConfig(band=band, window=13, detrend=False))
+    result = run_pipeline(Panel((lead, lag)), config)
     assert result.pairs == (("a", "b"),)
     gamma = result.gamma2[0]
     gamma_err = np.abs(gamma - 1.0).max()
@@ -210,9 +210,10 @@ def test_criterion_07_cutoff_arithmetic():
         assert round_half_up(shortest) == short_m
         assert round_half_up(longest) == long_m
         assert band_from_periods(n, longest, shortest) == band
-        trimmed, margin = trim_edges(np.zeros(n), band)
-        assert margin == short_m
-        assert trimmed.size == n - 2 * short_m
+        panel = Panel(tuple(TimeSeries(sid, Month(1980, 1), np.zeros(n)) for sid in "ab"))
+        meta = ResultMeta.of(panel, PipelineConfig(band=band, window=13))
+        assert meta.trim_offset == short_m
+        assert meta.n_samples == n - 2 * short_m - 13 + 1
     print("criterion 07: PASS (505/(4,18) -> 28..126 trim 28, "
           "488/(6,14) -> 35..81 trim 35)")
 

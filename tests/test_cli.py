@@ -79,6 +79,13 @@ class TestGen:
             run("gen", "--out", tmp_path)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("start", ["2000-01\n", "\u0661\u0669\u0669\u0660-\u0660\u0667"])
+    def test_start_must_be_yyyy_mm(self, tmp_path, capsys, start):
+        assert run("gen", "--regime", "coupled:60", "--start", start,
+                   "--out", tmp_path) == 1
+        assert "expected YYYY-MM date" in capsys.readouterr().err
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_bad_segment_is_clean_error(self, tmp_path, capsys):
         assert run("gen", "--regime", "coupled", "--out", tmp_path) == 1
         assert "regime:length" in capsys.readouterr().err
@@ -194,6 +201,20 @@ class TestSync:
         meta = read_meta(out / "metadata.txt")
         assert "mean_R_0.7_contraction" in meta
         assert "mean_R_0.8_expansion" in meta
+
+    def test_shipped_calendar_regime_is_the_per_month_rule(self, regime_panel, tmp_path):
+        calendar = Path(__file__).resolve().parents[1] / "data" / "japan_recessions.csv"
+        episodes = [[Month.parse(cell) for cell in row] for row in read_rows(calendar)[1:]]
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", calendar, "--out", out) == 0
+        rows = read_rows(out / "ratios.csv")
+        assert rows[0][-1] == "regime"
+        assert {row[-1] for row in rows[1:]} == {"contraction", "expansion"}
+        for row in rows[1:]:
+            month = Month.parse(row[1])
+            in_contraction = any(p < month <= t for p, t in episodes)
+            assert row[-1] == ("contraction" if in_contraction else "expansion"), row[1]
 
     def test_single_series_fails(self, tmp_path, capsys):
         gen_dir = tmp_path / "gen"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasesync import (
     ContractError,
@@ -59,7 +61,9 @@ class TestMonth:
         assert str(m) == "1980-07"
         assert str(Month(5, 3)) == "0005-03"
 
-    @pytest.mark.parametrize("text", ["1980-7", "198001", "1980/01", "1980-13", "x"])
+    # a trailing newline, and digits that are not ASCII, are not YYYY-MM either
+    @pytest.mark.parametrize("text", ["1980-7", "198001", "1980/01", "1980-13", "x",
+                                      "2000-01\n", "\u0661\u0669\u0669\u0660-\u0660\u0667"])
     def test_parse_rejects(self, text):
         with pytest.raises(ContractError):
             Month.parse(text)
@@ -306,6 +310,15 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match=message):
             load_panel_csv(path)
 
+    # 2000-02 with a newline inside the quoted cell, and in Arabic-Indic digits
+    @pytest.mark.parametrize("cell", ['"2000-02\n"', "\u0662\u0660\u0660\u0660-\u0660\u0662"])
+    def test_date_that_is_not_yyyy_mm_names_row(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a,b\n2000-01,1,2\n{cell},3,4\n2000-03,5,6\n",
+                        encoding="utf-8")
+        with pytest.raises(IngestionError, match="row 3: expected YYYY-MM date"):
+            load_panel_csv(path)
+
     def test_shape_error_in_third_block_before_bad_cell_in_first(self, tmp_path):
         # cells are read in blocks of BLOCK rows: the bad cell is in the
         # first block, the short row in the third
@@ -424,11 +437,13 @@ class TestPanelCsv:
 class TestRecessionCalendar:
     def test_contraction_labeling(self):
         cal = RecessionCalendar(((Month(1990, 7), Month(1991, 3)),))
-        assert not cal.is_contraction(Month(1990, 7))   # peak: last expansion month
-        assert cal.is_contraction(Month(1990, 8))
-        assert cal.is_contraction(Month(1991, 3))       # trough: last contraction month
-        assert not cal.is_contraction(Month(1991, 4))
-        assert not cal.is_contraction(Month(1985, 1))
+        mask = cal.contraction_mask(Month(1990, 7), 10)  # 1990-07 .. 1991-04
+        assert not mask[0]                              # peak: last expansion month
+        assert mask[1]                                  # 1990-08
+        assert mask[8]                                  # trough: last contraction month
+        assert not mask[9]                              # 1991-04
+        assert mask.tolist() == [False] + [True] * 8 + [False]
+        assert not cal.contraction_mask(Month(1985, 1), 1)[0]
 
     def test_ordering_enforced(self):
         with pytest.raises(ContractError):
@@ -441,10 +456,14 @@ class TestRecessionCalendar:
 
     def test_overlaps(self):
         cal = RecessionCalendar(((Month(1990, 7), Month(1991, 3)),))
-        assert cal.overlaps(Month(1991, 3), Month(1995, 1))
-        assert cal.overlaps(Month(1980, 1), Month(1990, 8))
-        assert not cal.overlaps(Month(1980, 1), Month(1990, 7))
-        assert not cal.overlaps(Month(1991, 4), Month(1999, 1))
+
+        def overlaps(first, last):  # some contraction month within first..last
+            return cal.contraction_mask(first, last - first + 1).any()
+
+        assert overlaps(Month(1991, 3), Month(1995, 1))
+        assert overlaps(Month(1980, 1), Month(1990, 8))
+        assert not overlaps(Month(1980, 1), Month(1990, 7))
+        assert not overlaps(Month(1991, 4), Month(1999, 1))
 
     def test_load_shipped_calendars(self):
         us = load_recession_csv("data/us_recessions.csv")
@@ -464,8 +483,48 @@ class TestRecessionCalendar:
         with pytest.raises(IngestionError, match="row 2"):
             load_recession_csv(bad_date)
 
+    @pytest.mark.parametrize("cell", ['"1990-07\n"', "\u0661\u0669\u0669\u0660-\u0660\u0667"])
+    def test_loader_rejects_date_that_is_not_yyyy_mm(self, tmp_path, cell):
+        path = tmp_path / "cal.csv"
+        path.write_text(f"peak,trough\n2001-03,2001-11\n{cell},1991-03\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="row 3: expected YYYY-MM date"):
+            load_recession_csv(path)
+
     def test_loader_not_utf8_names_line(self, tmp_path):
         path = tmp_path / "cal.csv"
         path.write_bytes(b"peak,trough\n1990-07,1991-03\n\xff2001-03,2001-11\n")
         with pytest.raises(IngestionError, match="line 3: not UTF-8 text"):
             load_recession_csv(path)
+
+
+@st.composite
+def calendars(draw):
+    """A valid calendar of up to 5 episodes from 1990-01, each peak at or
+    after the previous trough."""
+    episodes, trough = [], Month(1990, 1)
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 30)),
+                                     max_size=5)):
+        peak = trough + gap
+        trough = peak + length
+        episodes.append((peak, trough))
+    return RecessionCalendar(tuple(episodes))
+
+
+ONE_EPISODE = RecessionCalendar(((Month(1990, 7), Month(1991, 3)),))
+
+
+# the examples start inside, end inside, lie wholly before and wholly after
+# the episode; generated ranges run from 40 months before the first possible
+# peak to 50 months after the last possible trough
+@example(ONE_EPISODE, Month(1990, 10), 12)
+@example(ONE_EPISODE, Month(1990, 1), 10)
+@example(ONE_EPISODE, Month(1985, 1), 66)
+@example(ONE_EPISODE, Month(1991, 4), 24)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(calendars(), st.integers(-40, 350).map(lambda k: Month(1990, 1) + k),
+       st.integers(0, 120))
+def test_contraction_mask_is_the_per_month_rule(calendar, first, count):
+    mask = calendar.contraction_mask(first, count)
+    assert mask.dtype == bool and mask.shape == (count,)
+    for k in range(count):
+        assert mask[k] == any(p < first + k <= t for p, t in calendar.episodes)

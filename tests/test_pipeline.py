@@ -17,7 +17,6 @@ from phasesync import (
     ResultMeta,
     TimeSeries,
     analytic_signal,
-    annotate_recessions,
     bandpass,
     detrend_linear,
     gen_regime_panel,
@@ -25,7 +24,6 @@ from phasesync import (
     round_half_up,
     run_pipeline,
     sync_index_windowed,
-    trim_edges,
     write_metadata,
 )
 from phasesync.pipeline import panel_phases
@@ -75,6 +73,22 @@ class TestPipelineConfig:
         assert (meta.trim_offset, meta.n_samples) == (0, 1)
         with pytest.raises(ContractError, match="window 63 does not fit the 61 months"):
             ResultMeta.of(panel, PipelineConfig(band=BAND, window=63, trim=False))
+        # N=10, upper=2 -> margin 5 per end: nothing is left after the trim
+        panel = Panel(tuple(TimeSeries(sid, Month(2000, 1), np.zeros(10)) for sid in "ab"))
+        with pytest.raises(ContractError, match="window 3 does not fit the 0 months"):
+            ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 2), window=3))
+
+    def test_whole_float_window_runs_as_its_int(self, tmp_path):
+        panel = small_panel(3)
+        as_int = run_pipeline(panel, PipelineConfig(band=BAND, window=13))
+        as_float = run_pipeline(panel, PipelineConfig(band=BAND, window=13.0))
+        assert as_float.window == 13 and type(as_float.window) is int
+        np.testing.assert_array_equal(as_float.gamma2, as_int.gamma2)
+        for r in as_int.ratios:
+            np.testing.assert_array_equal(as_float.ratios[r], as_int.ratios[r])
+        write_metadata(tmp_path / "metadata.txt", as_float.meta_items())
+        assert "window = 13\n" in (tmp_path / "metadata.txt").read_text()
+        assert as_float.meta_items() == as_int.meta_items()
 
 
 class TestRunPipeline:
@@ -107,8 +121,8 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         panel = small_panel(6)
         result = run_pipeline(panel, config)
-        phases = [trim_edges(analytic_signal(bandpass(detrend_linear(s.values), BAND)).phase,
-                             BAND)[0]
+        m = ResultMeta.of(panel, config).trim_offset
+        phases = [analytic_signal(bandpass(detrend_linear(s.values), BAND)).phase[m:panel.n - m]
                   for s in panel]
         expected = np.vstack([
             sync_index_windowed(phases[i] - phases[j], 13)
@@ -255,6 +269,8 @@ class TestRatioAbove:
 
 
 class TestAnnotateRecessions:
+    """Regime labels and regime means from ResultMeta.contraction_mask."""
+
     CAL = RecessionCalendar(((Month(1990, 7), Month(1991, 3)),))
 
     def result(self, start=Month(1988, 1)):
@@ -265,35 +281,37 @@ class TestAnnotateRecessions:
 
     def test_labels(self):
         result = self.result()
-        annotation = annotate_recessions(result, self.CAL)
-        by_month = dict(zip(annotation.months, annotation.labels))
-        assert by_month[Month(1990, 8)] == "contraction"
-        assert by_month[Month(1991, 3)] == "contraction"
-        assert by_month[Month(1990, 7)] == "expansion"   # peak month
-        assert by_month[Month(1990, 6)] == "expansion"   # before first peak
-        assert by_month[Month(1991, 4)] == "expansion"
+        mask = result.meta.contraction_mask(self.CAL)
+        by_month = {result.month_of(idx): bool(c) for idx, c in enumerate(mask)}
+        assert by_month[Month(1990, 8)]
+        assert by_month[Month(1991, 3)]
+        assert not by_month[Month(1990, 7)]   # peak month
+        assert not by_month[Month(1990, 6)]   # before first peak
+        assert not by_month[Month(1991, 4)]
 
     def test_regime_means(self):
         result = self.result()
-        annotation = annotate_recessions(result, self.CAL)
-        mask = np.array([lbl == "contraction" for lbl in annotation.labels])
-        for r, ratio in result.ratios.items():
-            assert annotation.regime_means[r]["contraction"] == pytest.approx(
-                ratio[mask].mean())
-            assert annotation.regime_means[r]["expansion"] == pytest.approx(
-                ratio[~mask].mean())
+        mask = result.meta.contraction_mask(self.CAL)
+        for ratio in result.ratios.values():
+            months = [result.month_of(idx) for idx in range(result.n_samples)]
+            contraction = [R for R, m in zip(ratio, months)
+                           if Month(1990, 7) < m <= Month(1991, 3)]
+            expansion = [R for R, m in zip(ratio, months)
+                         if not Month(1990, 7) < m <= Month(1991, 3)]
+            assert ratio[mask].mean() == pytest.approx(np.mean(contraction))
+            assert ratio[~mask].mean() == pytest.approx(np.mean(expansion))
 
     def test_disjoint_calendar_rejected(self):
         result = self.result(start=Month(2030, 1))
-        with pytest.raises(ContractError, match="disjoint"):
-            annotate_recessions(result, self.CAL)
+        with pytest.raises(ContractError,
+                           match="disjoint from the result range 2031-08..2038-05"):
+            result.meta.contraction_mask(self.CAL)
 
     def test_rows_iterate_in_order(self):
         result = self.result()
-        annotation = annotate_recessions(result, self.CAL)
-        assert annotation.months == tuple(result.month_of(idx)
-                                          for idx in range(result.n_samples))
-        assert len(annotation.labels) == result.n_samples
+        mask = result.meta.contraction_mask(self.CAL)
+        assert mask.tolist() == [Month(1990, 7) < result.month_of(idx) <= Month(1991, 3)
+                                 for idx in range(result.n_samples)]
 
 
 class TestResultOutputs:

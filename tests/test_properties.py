@@ -3,6 +3,8 @@ and its counted ratios) and of the panel CSV round trip."""
 
 import csv
 import string
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -201,3 +203,33 @@ def test_panel_csv_round_trip(panel):
             want = [float(format(v, ".12g")) for v in written.values]
             np.testing.assert_array_equal(got.values, want)
         assert second.read_bytes() == first.read_bytes()
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_end_the_session(tmp_path):
+    # run under this project's pytest settings: a failing property is one
+    # failure, and the tests after it still run
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.stdout.strip().splitlines()[-1].startswith("1 failed, 1 passed")

@@ -4,9 +4,13 @@ import pytest
 from phasesync import (
     ContractError,
     FilterBand,
+    Month,
+    Panel,
+    PipelineConfig,
+    ResultMeta,
+    TimeSeries,
     bandpass,
     detrend_linear,
-    trim_edges,
 )
 
 from fourier_reference import fourier_analyze
@@ -187,6 +191,8 @@ class TestDetrendLinear:
 
 
 class TestTrimEdges:
+    """The trim offset of ResultMeta.of: round_half_up(n / band.upper) per end."""
+
     @pytest.mark.parametrize("n,upper,margin,out_len", [
         (505, 18, 28, 449),
         (488, 14, 35, 418),
@@ -194,11 +200,7 @@ class TestTrimEdges:
     ])
     def test_margins(self, n, upper, margin, out_len):
         x = np.arange(n, dtype=float)
-        trimmed, offset = trim_edges(x, FilterBand(1, upper))
-        assert offset == margin
-        assert trimmed.size == out_len
-        np.testing.assert_array_equal(trimmed, x[margin:n - margin])
-
-    def test_too_short(self):
-        with pytest.raises(ContractError, match="too short"):
-            trim_edges(np.zeros(10), FilterBand(1, 2))  # margin 5, nothing left
+        panel = Panel(tuple(TimeSeries(sid, Month(2000, 1), x) for sid in "ab"))
+        meta = ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, upper), window=3))
+        assert meta.trim_offset == margin
+        assert meta.n_samples == out_len - 3 + 1
