@@ -1,14 +1,13 @@
 """Time-varying phase synchronization analysis for monthly panel data.
 
 Workflow: load or generate a panel of monthly series, band-pass each
-member to the business-cycle band, take the analytic signal, and score
+member to the business-cycle band, take its instantaneous phase, and score
 every pair's phase difference with a moving synchronization index; the
 panel-level summary is the fraction of pairs locked above a threshold at
 each month. See the pipeline module for the one-call entry point and the
 cli module for the batch interface.
 """
 
-from .analytic import AnalyticSeries, analytic_signal, hilbert
 from .errors import ContractError, DegeneratePhaseError, IngestionError, PhaseSyncError
 from .panel import (
     FilterBand,
@@ -31,14 +30,13 @@ from .pipeline import (
     run_pipeline,
     write_metadata,
 )
-from .spectral import bandpass, detrend_linear
+from .spectral import bandpass, detrend_linear, hilbert, instantaneous_phase
 from .sync import sync_index_windowed
 from .synthetic import DETUNE_WALK_STEP, RegimeSpec, gen_regime_panel, gen_sine
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSeries",
     "ContractError",
     "DegeneratePhaseError",
     "DETUNE_WALK_STEP",
@@ -53,13 +51,13 @@ __all__ = [
     "ResultMeta",
     "SyncResult",
     "TimeSeries",
-    "analytic_signal",
     "band_from_periods",
     "bandpass",
     "detrend_linear",
     "gen_regime_panel",
     "gen_sine",
     "hilbert",
+    "instantaneous_phase",
     "load_panel_csv",
     "load_recession_csv",
     "periods_of_band",

@@ -35,6 +35,7 @@ from .pipeline import (
     ResultMeta,
     SyncResult,
     band_items,
+    check_thresholds,
     gamma_csv_sink,
     panel_phases,
     run_pipeline,
@@ -78,7 +79,7 @@ def _resolve_band(args, n: int) -> FilterBand:
 def _thresholds(args) -> tuple[float, ...]:
     if not args.r:
         return DEFAULT_THRESHOLDS
-    thresholds = tuple(sorted(set(args.r)))
+    thresholds = check_thresholds(sorted(set(args.r)))
     # the label names the R column and the metadata keys, so it must be unique
     labels: dict[str, float] = {}
     for r in thresholds:

@@ -1,7 +1,7 @@
-"""Panel-level orchestration: filter, analytic signal, all-pairs sync, ratios.
+"""Panel-level orchestration: filter, phase, all-pairs sync, ratios.
 
-The pipeline runs per series (optional detrend, band-pass, analytic
-signal) and trims filter edge effects from the phases (panel_phases),
+The pipeline runs per series (optional detrend, band-pass, instantaneous
+phase) and trims filter edge effects from the phases (panel_phases),
 then evaluates the windowed synchronization index for every unordered
 pair and the fraction of pairs at or above each threshold (score_pairs).
 Results carry explicit calendar anchoring so downstream alignment cannot
@@ -15,7 +15,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .analytic import analytic_signal
 from .errors import ContractError, PhaseSyncError
 from .panel import (
     CsvRows,
@@ -27,9 +26,23 @@ from .panel import (
     periods_of_band,
     round_half_up,
 )
-from .spectral import bandpass, detrend_linear
-# RATIO_TOL is re-exported for callers that import it from here
-from .sync import RATIO_TOL, check_window, lock_counts, score_pairs  # noqa: F401
+from .spectral import AMPLITUDE_FLOOR, bandpass, detrend_linear, instantaneous_phase
+from .sync import check_window, lock_counts, score_pairs
+
+
+def check_thresholds(values) -> tuple[float, ...]:
+    """values as a tuple of floats, -0 stored as 0. Raises ContractError
+    unless there is at least one, each lies in [0, 1] and they strictly
+    increase."""
+    thresholds = tuple(float(r) + 0.0 for r in values)
+    if not thresholds:
+        raise ContractError("need at least one threshold")
+    for r in thresholds:
+        if not 0.0 <= r <= 1.0:
+            raise ContractError(f"thresholds must lie in [0, 1], got {r}")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ContractError(f"thresholds must be strictly increasing, got {thresholds}")
+    return thresholds
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,6 @@ class PipelineConfig:
     """Parameters of one full panel run.
 
     thresholds must be strictly increasing values in [0, 1]; window odd.
-    amplitude_floor is relative to each series' peak amplitude (see
-    analytic_signal).
     """
 
     band: FilterBand
@@ -46,22 +57,11 @@ class PipelineConfig:
     thresholds: tuple[float, ...] = (0.7, 0.8)
     detrend: bool = True
     trim: bool = True
-    amplitude_floor: float = 1e-12
 
     def __post_init__(self):
         check_window(self.window)
         object.__setattr__(self, "window", int(self.window))
-        thresholds = tuple(float(r) for r in self.thresholds)
-        if not thresholds:
-            raise ContractError("need at least one threshold")
-        for r in thresholds:
-            if not 0.0 <= r <= 1.0:
-                raise ContractError(f"thresholds must lie in [0, 1], got {r}")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ContractError(f"thresholds must be strictly increasing, got {thresholds}")
-        if self.amplitude_floor < 0:
-            raise ContractError("amplitude_floor must be non-negative")
-        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "thresholds", check_thresholds(self.thresholds))
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class SyncResult:
             ("thresholds", ",".join(format(r, "g") for r in cfg.thresholds)),
             ("detrend", str(cfg.detrend).lower()),
             ("trim", str(cfg.trim).lower()),
-            ("amplitude_floor", format(cfg.amplitude_floor, ".12g")),
+            ("amplitude_floor", format(AMPLITUDE_FLOOR, ".12g")),
             ("trim_offset", str(self.meta.trim_offset)),
             ("first_sample_t", str(self.t_of(0))),
             ("first_sample_date", str(self.meta.anchor)),
@@ -273,8 +273,8 @@ def gamma_csv_sink(fh, meta: ResultMeta):
 def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
     """The (members, months - 2 x trim offset) phases of a panel.
 
-    Per series: optional linear detrend, band-pass, analytic signal, then
-    the trim offset of ResultMeta.of is dropped from each end.
+    Per series: optional linear detrend, band-pass, instantaneous phase,
+    then the trim offset of ResultMeta.of is dropped from each end.
 
     Raises
     ------
@@ -291,7 +291,7 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
             if config.detrend:
                 x = detrend_linear(x)
             filtered = bandpass(x, config.band)
-            phases[i] = analytic_signal(filtered, config.amplitude_floor).phase[m:panel.n - m]
+            phases[i] = instantaneous_phase(filtered)[m:panel.n - m]
         except PhaseSyncError as exc:
             raise type(exc)(f"series '{member.id}': {exc}") from exc
     return phases

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
+from .spectral import _as_series
 
 RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
@@ -41,12 +42,12 @@ def sync_index_windowed(psi, window: int) -> np.ndarray:
     """Centered moving synchronization index of phase differences psi
     (radians, any branch).
 
-    window is odd, 3 <= window <= len(psi). Returns len(psi) - window + 1
-    values in [0, 1]; value i covers psi[i : i + window], centered at
-    index i + (window - 1) // 2.
+    psi is a finite 1-d sequence; window is odd, 3 <= window <= len(psi).
+    Returns len(psi) - window + 1 values in [0, 1]; value i covers
+    psi[i : i + window], centered at index i + (window - 1) // 2.
     """
-    psi = np.asarray(psi, dtype=float)
     check_window(window)
+    psi = _as_series(psi)
     if window > psi.size:
         raise ContractError(
             f"window {window} exceeds sequence length {psi.size}"

@@ -36,8 +36,11 @@ def gen_sine(n: int, period: float, amplitude: float = 1.0,
     """Sampled sinusoid: amplitude * sin(2*pi*t/period + phase_offset)."""
     if n < 2:
         raise ContractError(f"need n >= 2, got {n}")
-    if period < 2:
-        raise ContractError(f"need period >= 2, got {period}")
+    if not (np.isfinite(period) and period >= 2):
+        raise ContractError(f"need a finite period >= 2, got {period}")
+    for name, value in (("amplitude", amplitude), ("phase_offset", phase_offset)):
+        if not np.isfinite(value):
+            raise ContractError(f"need a finite {name}, got {value}")
     t = np.arange(n)
     values = amplitude * np.sin(2.0 * np.pi * t / period + phase_offset)
     return TimeSeries(id=series_id, start=start, values=values)
@@ -75,10 +78,14 @@ class RegimeSpec:
                 )
         if self.total < 2:
             raise ContractError("total panel length must be >= 2")
-        if self.base_period < 2:
-            raise ContractError(f"need base_period >= 2, got {self.base_period}")
-        if self.jitter < 0 or self.noise_sd < 0:
-            raise ContractError("jitter and noise_sd must be non-negative")
+        if not (np.isfinite(self.base_period) and self.base_period >= 2):
+            raise ContractError(f"need a finite base_period >= 2, got {self.base_period}")
+        for name in ("jitter", "noise_sd"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ContractError(f"need a finite {name} >= 0, got {value}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ContractError(f"need an integer seed >= 0, got {self.seed!r}")
         object.__setattr__(self, "segments", segs)
 
     @property

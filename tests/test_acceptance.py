@@ -24,12 +24,12 @@ from phasesync import (
     RegimeSpec,
     ResultMeta,
     TimeSeries,
-    analytic_signal,
     band_from_periods,
     bandpass,
     gen_regime_panel,
     gen_sine,
     hilbert,
+    instantaneous_phase,
     periods_of_band,
     round_half_up,
     run_pipeline,
@@ -153,7 +153,7 @@ def test_criterion_04_locked_sine_pair():
     phases = []
     for member in (lead, lag):
         filtered = bandpass(member.values, band)
-        phases.append(analytic_signal(filtered).phase)
+        phases.append(instantaneous_phase(filtered))
     psi = phases[0] - phases[1]
     wrapped = np.mod(psi + np.pi, 2.0 * np.pi) - np.pi
     config = PipelineConfig(band=band, window=13, detrend=False)

@@ -90,6 +90,22 @@ class TestGen:
         assert run("gen", "--regime", "coupled", "--out", tmp_path) == 1
         assert "regime:length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--regime", "coupled:60", "--seed", -1), "seed >= 0, got -1"),
+        (("--regime", "coupled:60", "--noise-sd", "nan"), "noise_sd >= 0, got nan"),
+        (("--regime", "coupled:60", "--base-period", "inf"), "base_period >= 2, got inf"),
+        (("--regime", "coupled:60", "--base-period", "nan"), "base_period >= 2, got nan"),
+        (("--regime", "coupled:60", "--jitter", "nan"), "jitter >= 0, got nan"),
+        (("--sine", "--n", 48, "--period", "nan"), "period >= 2, got nan"),
+        (("--sine", "--n", 48, "--amp", "nan"), "finite amplitude, got nan"),
+    ])
+    def test_unusable_generator_parameter_is_clean_error(self, tmp_path, capsys,
+                                                         argv, message):
+        assert run("gen", *argv, "--members", 3, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "panel.csv").exists()
+
 
 class TestFilter:
     def test_period_flags_resolve_band(self, tmp_path, capsys):
@@ -260,6 +276,24 @@ class TestSync:
         err = capsys.readouterr().err
         assert "--r 0.7 and --r 0.70000000000001 both print as 0.7" in err
         assert list(out.iterdir()) == []
+
+    def test_nan_threshold_is_a_range_error(self, regime_panel, tmp_path, capsys):
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--r", "nan", "--out", out) == 1
+        assert capsys.readouterr().err == "error: thresholds must lie in [0, 1], got nan\n"
+        assert list(out.iterdir()) == []
+
+    def test_negative_zero_threshold_labels_as_zero(self, regime_panel, tmp_path):
+        outputs = []
+        for i, order in enumerate((("-0", "0"), ("0", "-0"))):
+            out = tmp_path / f"sync{i}"
+            assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                       "--r", order[0], "--r", order[1], "--out", out) == 0
+            assert read_rows(out / "ratios.csv")[0] == ["t", "date", "R_0"]
+            outputs.append([(out / name).read_bytes()
+                            for name in ("ratios.csv", "ratios_long.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_no_trim_no_detrend_flags(self, regime_panel, tmp_path):
         out = tmp_path / "sync"

@@ -16,10 +16,10 @@ from phasesync import (
     RegimeSpec,
     ResultMeta,
     TimeSeries,
-    analytic_signal,
     bandpass,
     detrend_linear,
     gen_regime_panel,
+    instantaneous_phase,
     ratio_above,
     round_half_up,
     run_pipeline,
@@ -54,11 +54,16 @@ class TestPipelineConfig:
         {"thresholds": (0.8, 0.7)},
         {"thresholds": (0.7, 0.7)},
         {"thresholds": (1.5,)},
-        {"amplitude_floor": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
             PipelineConfig(band=BAND, **{"window": 13, **kwargs})
+
+    def test_negative_zero_threshold_stored_as_zero(self):
+        config = PipelineConfig(band=BAND, window=13, thresholds=(-0.0, 0.5))
+        assert config.thresholds == (0.0, 0.5)
+        assert np.copysign(1.0, config.thresholds[0]) == 1.0
+        assert format(config.thresholds[0], "g") == "0"
 
     def test_window_must_fit_after_trim(self):
         # N=61, upper=18 -> margin 3, usable 55: a 55-month window gives one sample
@@ -122,7 +127,7 @@ class TestRunPipeline:
         panel = small_panel(6)
         result = run_pipeline(panel, config)
         m = ResultMeta.of(panel, config).trim_offset
-        phases = [analytic_signal(bandpass(detrend_linear(s.values), BAND)).phase[m:panel.n - m]
+        phases = [instantaneous_phase(bandpass(detrend_linear(s.values), BAND))[m:panel.n - m]
                   for s in panel]
         expected = np.vstack([
             sync_index_windowed(phases[i] - phases[j], 13)

@@ -23,8 +23,8 @@ from phasesync.panel import (
     load_panel_csv,
     write_panel_csv,
 )
-from phasesync.pipeline import RATIO_TOL, PipelineConfig, panel_phases, ratio_above, run_pipeline
-from phasesync.sync import score_pairs, sync_index_windowed
+from phasesync.pipeline import PipelineConfig, panel_phases, ratio_above, run_pipeline
+from phasesync.sync import RATIO_TOL, score_pairs, sync_index_windowed
 from phasesync.synthetic import RegimeSpec, gen_regime_panel
 
 # the same examples on every run, and no example database written

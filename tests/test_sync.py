@@ -3,8 +3,8 @@ import pytest
 
 from phasesync import (
     ContractError,
-    analytic_signal,
     gen_sine,
+    instantaneous_phase,
     sync_index_windowed,
 )
 from phasesync.sync import windowed_resultant_sq
@@ -53,7 +53,7 @@ class TestPhaseDifference:
         # sin(2*pi*t/P) against 2*sin(2*pi*t/P - pi/2): difference pi/2 always
         s1 = gen_sine(240, 24, 1.0, 0.0)
         s2 = gen_sine(240, 24, 2.0, -np.pi / 2)
-        psi = analytic_signal(s1.values).phase - analytic_signal(s2.values).phase
+        psi = instantaneous_phase(s1.values) - instantaneous_phase(s2.values)
         np.testing.assert_allclose(wrap(psi), np.pi / 2, atol=1e-9)
 
 
@@ -101,6 +101,15 @@ class TestSyncIndexWindowed:
     def test_window_longer_than_input_rejected(self):
         with pytest.raises(ContractError, match="exceeds"):
             sync_index_windowed(np.zeros(10), 11)
+
+    def test_psi_not_1d_rejected(self):
+        # 7 fits the 10 values, not the 5-long rows
+        with pytest.raises(ContractError, match=r"1-d sequence, got shape \(2, 5\)"):
+            sync_index_windowed(np.zeros((2, 5)), 7)
+
+    def test_non_finite_psi_rejected(self):
+        with pytest.raises(ContractError, match="non-finite value at index 1"):
+            sync_index_windowed([0.0, np.nan, 0.0, 0.0], 3)
 
     def test_bounds(self):
         rng = np.random.default_rng(2)

@@ -44,6 +44,17 @@ class TestGenSine:
         with pytest.raises(ContractError):
             gen_sine(n, period)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"period": np.nan}, "period"),
+        ({"period": np.inf}, "period"),
+        ({"amplitude": np.nan}, "amplitude"),
+        ({"amplitude": -np.inf}, "amplitude"),
+        ({"phase_offset": np.nan}, "phase_offset"),
+    ])
+    def test_non_finite_parameter_named(self, kwargs, name):
+        with pytest.raises(ContractError, match=f"finite {name}"):
+            gen_sine(**{"n": 24, "period": 12.0, **kwargs})
+
 
 class TestRegimeSpec:
     def test_total_and_lookup(self):
@@ -67,6 +78,20 @@ class TestRegimeSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
             RegimeSpec(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("base_period", np.nan),
+        ("base_period", np.inf),
+        ("jitter", np.nan),
+        ("jitter", np.inf),
+        ("noise_sd", np.nan),
+        ("noise_sd", np.inf),
+        ("seed", -1),
+        ("seed", 1.5),
+    ])
+    def test_unusable_parameter_named(self, name, value):
+        with pytest.raises(ContractError, match=f"{name} >= "):
+            RegimeSpec(segments=((10, "coupled"),), **{name: value})
 
 
 class TestGenRegimePanel:
