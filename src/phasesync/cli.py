@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvtext import csv_fields, csv_line, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
 from .panel import (
     FilterBand,
@@ -24,7 +25,6 @@ from .panel import (
     Panel,
     TimeSeries,
     band_from_periods,
-    csv_line,
     first_repeated,
     load_panel_csv,
     load_recession_csv,
@@ -156,7 +156,7 @@ def cmd_sync(args, out: _OutputTracker) -> None:
         # a bad calendar fails before any series is filtered or gamma2.csv opened
         mask = meta.contraction_mask(load_recession_csv(args.calendar))
 
-    with open(out.target("gamma2.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(out.target("gamma2.csv"), "wb") as fh:
         result = run_pipeline(panel, config, gamma_csv_sink(fh, meta))
 
     labels = None
@@ -255,16 +255,17 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     common = [(label, ratios[:, first - month:last - month + 1])
               for label, month, ratios in kept]
 
-    with open(out.target("stability.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]))
-        for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
-            for r, a, b in zip(thresholds, ratios_a, ratios_b):
-                if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-                    pearson = float("nan")  # undefined: an R series is constant
-                else:
-                    pearson = float(np.corrcoef(a, b)[0, 1])
-                fh.write(csv_line([label_a, label_b, format(r, "g"),
-                                   format(pearson, ".12g")]))
+    fields, pearsons = [], []
+    for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
+        for r, a, b in zip(thresholds, ratios_a, ratios_b):
+            fields.append((label_a, label_b, format(r, "g")))
+            if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+                pearsons.append(float("nan"))  # undefined: an R series is constant
+            else:
+                pearsons.append(np.corrcoef(a, b)[0, 1])
+    with open(out.target("stability.csv"), "wb") as fh:
+        fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]).encode())
+        fh.write(csv_rows(csv_fields(fields), format_g12(pearsons)[:, None]))
 
     items = _header_items(args) + [
         ("n_series", str(len(panel))),

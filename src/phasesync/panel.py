@@ -10,9 +10,11 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
 from .errors import ContractError, IngestionError
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
@@ -52,6 +54,12 @@ class Month:
     def __sub__(self, other: "Month") -> int:
         """Number of months from `other` to `self`."""
         return (self.year - other.year) * 12 + (self.month - other.month)
+
+
+def _month_labels(first: Month, count: int) -> list[str]:
+    """str() of each of the count months from first, built without Month objects."""
+    start = first.year * 12 + first.month - 1
+    return [f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(start, start + count)]
 
 
 def _freeze(values) -> np.ndarray:
@@ -235,8 +243,8 @@ class RecessionCalendar:
 
 
 # panel rows per block when a panel CSV is read or written: on a 150-member
-# panel one block's strings, floats and text take well under 1 MB, never a
-# copy of the whole file
+# panel one block's text and floats take well under 1 MB, never a copy of the
+# whole file
 _PANEL_BLOCK_ROWS = 64
 
 
@@ -251,11 +259,81 @@ def load_panel_csv(path) -> Panel:
 
     The file is read in one pass: each row's shape is checked as it
     arrives, and the cells are converted in blocks of _PANEL_BLOCK_ROWS
-    rows, so only one block is ever held as strings. Each converted block
+    rows, so only one block is ever held as text. Each converted block
     is split into one piece per member and dropped; each series is then
     built from its member's pieces, which are dropped in turn, so about
-    one copy of the panel's floats is held at a time.
+    one copy of the panel's floats is held at a time. Blocks go through
+    numpy's C text reader (_read_plain); a file it does not take whole,
+    among them every quoted or faulty one, is read again with csv.reader
+    (_read_csv), which names the error.
     """
+    ids, first, pieces = _read_plain(path) or _read_csv(path)
+    try:
+        series = []
+        for sid, member_pieces in zip(ids, pieces):
+            series.append(TimeSeries(sid, first, np.concatenate(member_pieces)))
+            member_pieces.clear()  # the series holds its own copy
+        return Panel(tuple(series))
+    except ContractError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+
+
+def _read_plain(path):
+    """(ids, first month, per-member pieces) of the panel CSV at path, its
+    cells converted by np.loadtxt, or None when the csv path must read it.
+
+    That is the case for a file that holds a quote or a NUL, is not UTF-8,
+    has a line longer than csv's field limit or a row whose shape or date
+    is off, or has a block that np.loadtxt refuses or that holds a
+    non-finite value. Without quotes a line's fields are its text split at
+    commas, as csv.reader splits it: each line must start with its month
+    (str(Month) and a comma), and np.loadtxt gets the rest. It parses a
+    cell with PyOS_string_to_double, as float() does, and accepts less
+    than float() (no '1_0', no non-ASCII digits), so a block it takes
+    holds the floats the csv path would read.
+    """
+    limit = csv.field_size_limit()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = fh.readline()
+            ids = header.rstrip("\r\n").split(",")[1:]
+            if ('"' in header or "\0" in header or len(header) > limit
+                    or not header.startswith("date,") or "" in ids
+                    or first_repeated(ids) is not None):
+                return None
+            pieces: list[list[np.ndarray]] = [[] for _ in ids]
+            first, count = None, 0
+            while block := list(islice(fh, _PANEL_BLOCK_ROWS)):
+                if first is None:
+                    first = Month.parse(block[0].split(",", 1)[0])
+                for i, date in enumerate(_month_labels(first + count, len(block))):
+                    line = block[i]
+                    if ('"' in line or "\0" in line or len(line) > limit
+                            or line[:8] != date + ","):
+                        return None
+                    block[i] = line[8:]  # the cells
+                # loadtxt refuses a row whose cell count differs from the
+                # first row's, and skips a blank one
+                values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+                if values.shape != (len(block), len(ids)) or not np.isfinite(values).all():
+                    return None
+                _split_columns(values, pieces)
+                count += len(block)
+                del block, values  # before the next block is read
+    except (ValueError, ContractError):  # UnicodeDecodeError is a ValueError
+        return None
+    return (ids, first, pieces) if count >= 2 else None
+
+
+def _split_columns(values: np.ndarray, pieces) -> None:
+    """Append each column of the (rows, members) values to its member's list."""
+    for member_pieces, column in zip(pieces, values.T):
+        member_pieces.append(column.copy())  # a copy, so the block can be dropped
+
+
+def _read_csv(path):
+    """_read_plain's result read with csv.reader and float(); raises
+    IngestionError naming the first fault, as load_panel_csv documents."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -307,15 +385,7 @@ def load_panel_csv(path) -> Panel:
     del block  # the last block's strings
     if bad is not None:
         raise bad
-
-    try:
-        series = []
-        for sid, member_pieces in zip(ids, pieces):
-            series.append(TimeSeries(sid, first, np.concatenate(member_pieces)))
-            member_pieces.clear()  # the series holds its own copy
-        return Panel(tuple(series))
-    except ContractError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    return ids, first, pieces
 
 
 @contextmanager
@@ -357,8 +427,7 @@ def _convert_block(path, ids, cells, first_row, pieces) -> IngestionError | None
         values = None
     if values is None or not np.isfinite(values).all():
         return _bad_cell(path, ids, cells, first_row)
-    for member_pieces, column in zip(pieces, values.T):
-        member_pieces.append(column.copy())  # a copy, so the block can be dropped
+    _split_columns(values, pieces)
     return None
 
 
@@ -384,57 +453,22 @@ def first_repeated(items):
     return next((item for item in items if item in repeated), None)
 
 
-def csv_field(text: str) -> str:
-    """`text` as one CSV field, quoted exactly where csv.writer's default
-    dialect quotes it (QUOTE_MINIMAL: on a comma, quote or line break)."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def csv_line(fields) -> str:
-    """One CSV row of two or more string fields, as csv.writer.writerow writes it."""
-    return ",".join(map(csv_field, fields)) + "\r\n"
-
-
-class CsvRows:
-    """Formats blocks of CSV rows that share their leading fields.
-
-    Row i of a block is leads[i], then the block's own fields, then the
-    floats of row i of the block's values at 12 significant digits. The
-    bytes equal csv.writer's rows of ``format(v, ".12g")`` strings, but a
-    block is one ``%``-template, so all of its floats are formatted in one
-    C-level call instead of one writerow and one format() per row.
-    """
-
-    def __init__(self, leads):
-        self._leads = [_template_fields(fields) for fields in leads]
-
-    def text(self, fields, values: np.ndarray) -> str:
-        """Rows for one block: values has one row per lead (1-d: one float each)."""
-        width = 1 if values.ndim == 1 else values.shape[1]
-        tail = _template_fields(fields) + ",".join(["%.12g"] * width) + "\r\n"
-        return (tail.join(self._leads) + tail) % tuple(values.ravel().tolist())
-
-
-def _template_fields(fields) -> str:
-    """Quoted fields, each followed by a comma, with % escaped for a %-template."""
-    return "".join(csv_field(f).replace("%", "%%") + "," for f in fields)
-
-
 def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits.
 
-    Rows are written in blocks of _PANEL_BLOCK_ROWS: only the current
-    block's floats are stacked into rows and formatted, never the panel's.
+    Rows are stacked _PANEL_BLOCK_ROWS at a time, never the whole panel,
+    and formatted FORMAT_CHUNK values at a time.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_line(["date", *panel.ids]))
+    step = max(1, FORMAT_CHUNK // len(panel))
+    with open(path, "wb") as fh:
+        fh.write(csv_line(["date", *panel.ids]).encode())
         for start in range(0, panel.n, _PANEL_BLOCK_ROWS):
             stop = min(start + _PANEL_BLOCK_ROWS, panel.n)
-            dates = [(str(panel.month_at(i)),) for i in range(start, stop)]
-            values = np.array([s.values[start:stop] for s in panel.series])
-            fh.write(CsvRows(dates).text((), values.T))
+            dates = csv_fields([(d,) for d in _month_labels(panel.month_at(start), stop - start)])
+            values = np.stack([s.values[start:stop] for s in panel.series], axis=1)
+            for row in range(0, stop - start, step):
+                fh.write(csv_rows(dates[row:row + step], format_g12(values[row:row + step])))
+            del dates, values  # before the next block is stacked
 
 
 def load_recession_csv(path) -> RecessionCalendar:

@@ -11,21 +11,13 @@ silently drift by a half-window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
-from .panel import (
-    CsvRows,
-    FilterBand,
-    Month,
-    Panel,
-    RecessionCalendar,
-    csv_line,
-    periods_of_band,
-    round_half_up,
-)
+from .panel import FilterBand, Month, Panel, RecessionCalendar, periods_of_band, round_half_up
 from .spectral import AMPLITUDE_FLOOR, bandpass, detrend_linear, instantaneous_phase
 from .sync import check_window, lock_counts, score_pairs
 
@@ -177,20 +169,14 @@ class SyncResult:
         """Calendar month at which sample idx is centered."""
         return self.meta.month_of(idx)
 
-    def write_gamma_csv(self, path) -> None:
-        """Long format: t,date,pair_i,pair_j,gamma2."""
-        if self.gamma2 is None:
-            raise ContractError("no gamma2 to write: run_pipeline passed it to a sink")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            gamma_csv_sink(fh, self.meta)(self.gamma2)
-
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
-        rows = CsvRows(self.meta.sample_fields())
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_line(["t", "date", "r", "R"]))
+        samples = csv_fields(self.meta.sample_fields())
+        with open(path, "wb") as fh:
+            fh.write(csv_line(["t", "date", "r", "R"]).encode())
             for r in self.meta.config.thresholds:
-                fh.write(rows.text((format(r, "g"),), self.ratios[r]))
+                fh.write(csv_rows(samples, csv_fields([(format(r, "g"),)]),
+                                  format_g12(self.ratios[r])[:, None]))
 
     def write_ratio_wide_csv(self, path, labels: tuple[str, ...] | None = None) -> None:
         """One R column per threshold; optional per-row regime label column."""
@@ -200,15 +186,14 @@ class SyncResult:
                 f"got {len(labels)} labels for {self.n_samples} samples"
             )
         header = ["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
+        blocks = [csv_fields(self.meta.sample_fields()),
+                  format_g12(np.column_stack([self.ratios[r] for r in thresholds]))]
         if labels is not None:
             header.append("regime")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_line(header))
-            for idx, fields in enumerate(self.meta.sample_fields()):
-                row = list(fields) + [format(self.ratios[r][idx], ".12g") for r in thresholds]
-                if labels is not None:
-                    row.append(labels[idx])
-                fh.write(csv_line(row))
+            blocks.append(csv_fields([(label,) for label in labels]))
+        with open(path, "wb") as fh:
+            fh.write(csv_line(header).encode())
+            fh.write(csv_rows(*blocks))
 
     def meta_items(self) -> list[tuple[str, str]]:
         """Key-value pairs describing this run, for the metadata sidecar."""
@@ -253,19 +238,23 @@ def write_metadata(path, items) -> None:
 
 
 def gamma_csv_sink(fh, meta: ResultMeta):
-    """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to fh and
-    return a score_pairs sink that writes the rows of each block it gets.
+    """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to the
+    binary file fh and return a score_pairs sink that writes the rows of
+    each block it gets, a few thousand values at a time.
 
     Block rows are matched to the pairs of meta.ids in combinations order,
     the order score_pairs sends them in.
     """
-    rows = CsvRows(meta.sample_fields())
+    samples = csv_fields(meta.sample_fields())
     pairs = combinations(meta.ids, 2)
-    fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]))
+    step = max(1, FORMAT_CHUNK // meta.n_samples)
+    fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]).encode())
 
     def write_block(block: np.ndarray) -> None:
-        for row, pair in zip(block, pairs):  # block first: no pair is skipped
-            fh.write(rows.text(pair, row))
+        for start in range(0, len(block), step):
+            rows = block[start:start + step]
+            names = csv_fields(islice(pairs, len(rows)))
+            fh.write(csv_rows(samples, names[:, None], format_g12(rows)[..., None, :]))
 
     return write_block
 
@@ -327,6 +316,8 @@ def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
     """Fraction of the rows of (pairs x samples) gamma2 at or above r, per sample.
 
     A pair counts when gamma2 >= r - RATIO_TOL, the rule of lock_counts.
+    Raises ContractError for a value that is not finite or lies outside
+    [0, 1], naming the first such (row, column).
     """
     gamma2 = np.asarray(gamma2, dtype=float)
     if gamma2.ndim != 2 or gamma2.shape[0] == 0:
@@ -336,4 +327,11 @@ def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
         )
     if not 0.0 <= r <= 1.0:
         raise ContractError(f"threshold must lie in [0, 1], got {r}")
+    bad = ~((gamma2 >= 0.0) & (gamma2 <= 1.0))  # nan compares false
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ContractError(
+            f"gamma2 must be finite and lie in [0, 1], got {gamma2[row, col]} "
+            f"at (row {row}, column {col})"
+        )
     return lock_counts(gamma2, r) / gamma2.shape[0]

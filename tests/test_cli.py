@@ -15,7 +15,6 @@ import phasesync.pipeline
 import phasesync.sync
 from phasesync import Month, Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
-from phasesync.panel import CsvRows
 
 
 def run(*argv):
@@ -352,15 +351,15 @@ class TestStreamedSync:
     def test_write_failure_after_first_block(self, regime_panel, tmp_path, capsys,
                                              monkeypatch, kernel_calls):
         # the 5-member panel's first block holds 4 pairs; the 5th row fails
-        text, rows = CsvRows.text, []
+        format_g12, rows = phasesync.pipeline.format_g12, []
 
-        def fail_on_fifth_row(self, fields, values):
-            if len(rows) == 4:
+        def fail_on_fifth_row(values):
+            if len(rows) + len(values) > 4:
                 raise OSError("No space left on device")
-            rows.append(fields)
-            return text(self, fields, values)
+            rows.extend(values)
+            return format_g12(values)
 
-        monkeypatch.setattr(CsvRows, "text", fail_on_fifth_row)
+        monkeypatch.setattr(phasesync.pipeline, "format_g12", fail_on_fifth_row)
         out = tmp_path / "sync"
         assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
                    "--out", out) == 1

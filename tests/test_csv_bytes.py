@@ -23,7 +23,8 @@ from phasesync import (
     write_panel_csv,
 )
 from phasesync.cli import main
-from phasesync.panel import CsvRows, csv_line
+from phasesync.csvtext import csv_fields, csv_line, csv_rows, format_g12
+from phasesync.pipeline import gamma_csv_sink
 
 # ids that csv.writer quotes, or that contain the %-template's own marker
 IDS = ("a,b", 'q"x', "p%d", "100%", "line\nbreak", "cr\rx", " sp", "plain")
@@ -59,18 +60,19 @@ def test_csv_line_matches_csv_writer(sid):
 
 
 def test_csv_rows_escapes_percent_in_every_field():
-    rows = CsvRows([("1%", "x,y"), ("%s", '"')])
+    leads = csv_fields([("1%", "x,y"), ("%s", '"')])
     values = np.array([[0.5, -0.0], [1 / 3, 1e-300]])
     expected = writer_bytes([
         ["1%", "x,y", "p%d", "0.5", "-0"],
         ["%s", '"', "p%d", format(1 / 3, ".12g"), "1e-300"],
     ])
-    assert rows.text(("p%d",), values).encode() == expected
+    assert csv_rows(leads, csv_fields([("p%d",)]), format_g12(values)) == expected
 
 
 def test_gamma_csv_bytes(result, tmp_path):
     path = tmp_path / "gamma2.csv"
-    result.write_gamma_csv(path)
+    with open(path, "wb") as fh:
+        gamma_csv_sink(fh, result.meta)(result.gamma2)
     expected = [["t", "date", "pair_i", "pair_j", "gamma2"]]
     for (id_i, id_j), row in zip(result.pairs, result.gamma2):
         for idx, g in enumerate(row):

@@ -26,7 +26,7 @@ from phasesync import (
     sync_index_windowed,
     write_metadata,
 )
-from phasesync.pipeline import panel_phases
+from phasesync.pipeline import gamma_csv_sink, panel_phases
 
 BAND = FilterBand(4, 18)
 
@@ -272,6 +272,16 @@ class TestRatioAbove:
         with pytest.raises(ContractError, match="2-d"):
             ratio_above(np.zeros(shape), 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, 5.0, -1.0])
+    def test_value_outside_unit_interval_rejected(self, value):
+        gamma2 = np.array([[0.5, 0.9, 0.2], [0.3, value, np.nan]])
+        with pytest.raises(ContractError, match=r"got .* at \(row 1, column 1\)"):
+            ratio_above(gamma2, 0.8)
+
+    def test_first_bad_value_in_row_order_named(self):
+        with pytest.raises(ContractError, match=r"got nan at \(row 0, column 0\)"):
+            ratio_above(np.array([[np.nan, 0.9], [5.0, -1.0]]), 0.8)
+
 
 class TestAnnotateRecessions:
     """Regime labels and regime means from ResultMeta.contraction_mask."""
@@ -327,7 +337,8 @@ class TestResultOutputs:
 
     def test_gamma_csv(self, result, tmp_path):
         path = tmp_path / "gamma2.csv"
-        result.write_gamma_csv(path)
+        with open(path, "wb") as fh:
+            gamma_csv_sink(fh, result.meta)(result.gamma2)
         rows = read_rows(path)
         assert rows[0] == ["t", "date", "pair_i", "pair_j", "gamma2"]
         assert len(rows) == 1 + result.n_pairs * result.n_samples
@@ -338,15 +349,6 @@ class TestResultOutputs:
         assert first[1] == str(result.month_of(0))
         assert float(first[4]) == pytest.approx(
             result.gamma2[result.pairs.index(("m01", "m02")), 0], rel=1e-11)
-
-    def test_gamma_csv_refused_when_a_sink_took_gamma2(self, tmp_path):
-        result = run_pipeline(small_panel(3, n=120, seed=9),
-                              PipelineConfig(band=FilterBand(2, 9), window=13),
-                              lambda block: None)
-        path = tmp_path / "gamma2.csv"
-        with pytest.raises(ContractError, match="passed it to a sink"):
-            result.write_gamma_csv(path)
-        assert not path.exists()
 
     def test_ratio_long_csv(self, result, tmp_path):
         path = tmp_path / "ratios_long.csv"
