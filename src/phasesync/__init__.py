@@ -14,7 +14,6 @@ from .panel import (
     Month,
     Panel,
     RecessionCalendar,
-    TimeSeries,
     band_from_periods,
     load_panel_csv,
     load_recession_csv,
@@ -50,7 +49,6 @@ __all__ = [
     "RegimeSpec",
     "ResultMeta",
     "SyncResult",
-    "TimeSeries",
     "band_from_periods",
     "bandpass",
     "detrend_linear",

@@ -23,11 +23,11 @@ from .panel import (
     FilterBand,
     Month,
     Panel,
-    TimeSeries,
     band_from_periods,
     first_repeated,
     load_panel_csv,
     load_recession_csv,
+    read_panel_csv,
     write_panel_csv,
 )
 from .pipeline import (
@@ -125,25 +125,33 @@ class _OutputTracker:
                 pass
 
 
+def _bandpass_columns(values: np.ndarray, band: FilterBand, detrend: bool) -> None:
+    """Band-pass each column of a writable (months, members) array in place,
+    linearly detrended first when detrend. Each column goes through
+    detrend_linear and bandpass as a contiguous copy, so its floats do not
+    depend on the array's memory order."""
+    for k in range(values.shape[1]):
+        x = np.ascontiguousarray(values[:, k])
+        values[:, k] = bandpass(detrend_linear(x) if detrend else x, band)
+
+
 def cmd_filter(args, out: _OutputTracker) -> None:
     """Band-pass every member of the input panel into filtered.csv.
 
-    Each input member is replaced by its filtered series as the loop goes,
-    so the input panel and the filtered panel are never both held whole;
-    the metadata items, which hash the input file, are taken first.
+    The panel is read as one writable array and each member's column is
+    band-passed in place, so only one copy of the panel is held; the
+    metadata items, which hash the input file, are taken first.
     """
-    members = list(load_panel_csv(args.input))
-    n = members[0].n
+    ids, first, values = read_panel_csv(args.input)
+    n = len(values)
     band = _resolve_band(args, n)
     items = _header_items(args) + [
-        ("n_series", str(len(members))),
+        ("n_series", str(len(ids))),
         ("n_months", str(n)),
         ("detrend", str(args.detrend).lower()),
     ] + band_items(n, band)
-    for i, member in enumerate(members):
-        x = detrend_linear(member.values) if args.detrend else member.values
-        members[i] = TimeSeries(member.id, member.start, bandpass(x, band))
-    write_panel_csv(Panel(tuple(members)), out.target("filtered.csv"))
+    _bandpass_columns(values, band, args.detrend)
+    write_panel_csv(Panel(ids, first, values), out.target("filtered.csv"))
     write_metadata(out.target("metadata.txt"), items)
 
 
@@ -325,11 +333,11 @@ def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
         amplitudes = _parse_float_list(args.amp, "--amp", members)
         offsets = _parse_float_list(args.phase, "--phase", members)
         width = max(1, len(str(members)))
-        panel = Panel(tuple(
-            gen_sine(args.n, args.period, amplitudes[i], offsets[i],
-                     series_id=f"s{i + 1:0{width}d}", start=start)
-            for i in range(members)
-        ))
+        ids = [f"s{i + 1:0{width}d}" for i in range(members)]
+        columns = [gen_sine(args.n, args.period, amp, offset)
+                   for amp, offset in zip(amplitudes, offsets)]
+        # a panel with no member is refused before its values are looked at
+        panel = Panel(ids, start, np.transpose(columns))
     else:
         spec = RegimeSpec(
             segments=_parse_segments(args.regime),

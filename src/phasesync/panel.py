@@ -10,7 +10,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -62,98 +62,46 @@ def _month_labels(first: Month, count: int) -> list[str]:
     return [f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(start, start + count)]
 
 
-def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """Monthly series of several members on one calendar.
 
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """One named monthly series.
-
-    Parameters
-    ----------
-    id : str
-        Unique member identifier within a panel.
-    start : Month
-        Calendar month of the first sample.
-    values : array_like
-        Finite floats, length >= 2. Stored read-only.
+    values[t, k] is member ids[k] in month start + t: a (months, members)
+    array, the layout of the panel CSV, of finite floats over at least 2
+    months. A float64 array is kept as given, not copied, and made
+    read-only; any other input is converted to one once.
     """
 
-    id: str
+    ids: tuple[str, ...]
     start: Month
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(self.values)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ContractError(
-                f"series '{self.id}': need a 1-d sequence of length >= 2, "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ContractError(f"series '{self.id}': non-finite value at index {bad}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def month_at(self, i: int) -> Month:
-        return self.start + i
-
-
-@dataclass(frozen=True)
-class Panel:
-    """A collection of series sharing one calendar (same start, same length)."""
-
-    series: tuple[TimeSeries, ...]
-
-    def __post_init__(self):
-        members = tuple(self.series)
-        if not members:
+        ids = tuple(self.ids)
+        if not ids:
             raise ContractError("panel needs at least one series")
-        dup = first_repeated([s.id for s in members])
+        dup = first_repeated(ids)
         if dup is not None:
             raise ContractError(f"duplicate series id '{dup}'")
-        first = members[0]
-        for s in members[1:]:
-            if s.start != first.start:
-                raise ContractError(
-                    f"series '{s.id}' starts {s.start}, expected {first.start}"
-                )
-            if s.n != first.n:
-                raise ContractError(
-                    f"series '{s.id}' has length {s.n}, expected {first.n}"
-                )
-        object.__setattr__(self, "series", members)
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(ids):
+            raise ContractError(
+                f"need a (months >= 2, {len(ids)} members) array of values, "
+                f"got shape {values.shape}"
+            )
+        if not np.isfinite(values).all():
+            k, t = np.argwhere(~np.isfinite(values.T))[0]  # member by member
+            raise ContractError(f"series '{ids[k]}': non-finite value at index {t}")
+        values.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
-        return self.series[0].n
-
-    @property
-    def start(self) -> Month:
-        return self.series[0].start
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.series)
+        return self.values.shape[0]
 
     def __len__(self) -> int:
-        return len(self.series)
-
-    def __iter__(self):
-        return iter(self.series)
-
-    def member(self, sid: str) -> TimeSeries:
-        for s in self.series:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return len(self.ids)
 
     def month_at(self, i: int) -> Month:
         return self.start + i
@@ -242,117 +190,117 @@ class RecessionCalendar:
         return mask
 
 
-# panel rows per block when a panel CSV is read or written: on a 150-member
-# panel one block's text and floats take well under 1 MB, never a copy of the
-# whole file
+# panel rows per block when the csv path converts a panel CSV's cells: on a
+# 150-member panel one block's strings take well under 1 MB, never a copy of
+# the whole file
 _PANEL_BLOCK_ROWS = 64
 
 
 def load_panel_csv(path) -> Panel:
-    """Read a panel from CSV with header ``date,<id1>,<id2>,...``.
+    """Read a panel from CSV with header ``date,<id1>,<id2>,...``, as
+    read_panel_csv reads it."""
+    return Panel(*read_panel_csv(path))
+
+
+def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
+    """(ids, first month, values) of the panel CSV at path, values a fresh
+    writable (months, members) float64 array.
 
     Dates must be YYYY-MM and strictly consecutive months. Every cell must
-    be a finite number. Errors name the offending row (1-based, header =
-    row 1) and column. Problems with a row's shape (its cell count or its
-    date) are reported before any bad cell value, whichever row holds it;
-    among bad cells, the first in file order is reported.
+    be a finite number written in ASCII, without '_'. Errors name the
+    offending row (1-based, header = row 1) and column. Problems with a
+    row's shape (its cell count or its date) are reported before any bad
+    cell value, whichever row holds it; among bad cells, the first in file
+    order is reported.
 
-    The file is read in one pass: each row's shape is checked as it
-    arrives, and the cells are converted in blocks of _PANEL_BLOCK_ROWS
-    rows, so only one block is ever held as text. Each converted block
-    is split into one piece per member and dropped; each series is then
-    built from its member's pieces, which are dropped in turn, so about
-    one copy of the panel's floats is held at a time. Blocks go through
-    numpy's C text reader (_read_plain); a file it does not take whole,
-    among them every quoted or faulty one, is read again with csv.reader
-    (_read_csv), which names the error.
+    The file is read in one pass by numpy's C text reader (_read_plain),
+    which fills one array. A file it does not take whole, among them every
+    faulty one and every one with a quote in a data row, is read again
+    with csv.reader (_read_csv), which names the error.
     """
-    ids, first, pieces = _read_plain(path) or _read_csv(path)
-    try:
-        series = []
-        for sid, member_pieces in zip(ids, pieces):
-            series.append(TimeSeries(sid, first, np.concatenate(member_pieces)))
-            member_pieces.clear()  # the series holds its own copy
-        return Panel(tuple(series))
-    except ContractError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    return _read_plain(path) or _read_csv(path)
 
 
 def _read_plain(path):
-    """(ids, first month, per-member pieces) of the panel CSV at path, its
-    cells converted by np.loadtxt, or None when the csv path must read it.
+    """read_panel_csv's result with the cells converted by np.loadtxt, or
+    None when the csv path must read the file.
 
-    That is the case for a file that holds a quote or a NUL, is not UTF-8,
-    has a line longer than csv's field limit or a row whose shape or date
-    is off, or has a block that np.loadtxt refuses or that holds a
-    non-finite value. Without quotes a line's fields are its text split at
-    commas, as csv.reader splits it: each line must start with its month
-    (str(Month) and a comma), and np.loadtxt gets the rest. It parses a
-    cell with PyOS_string_to_double, as float() does, and accepts less
-    than float() (no '1_0', no non-ASCII digits), so a block it takes
-    holds the floats the csv path would read.
+    That is the case for a file that is not UTF-8, whose header csv.reader
+    refuses or _header_fault faults, with fewer than 2 rows or a
+    non-finite value, or with a data line that np.loadtxt refuses or that
+    holds a quote, a NUL or a character that is not ASCII, is longer than
+    csv's field limit or does not start with its month (str(Month) and a
+    comma). Without quotes a data line's fields are its text split at
+    commas, as csv.reader splits it, and np.loadtxt parses a cell with
+    PyOS_string_to_double, as float() does, and takes no '_': so a file
+    it takes holds the floats the csv path would read.
     """
     limit = csv.field_size_limit()
+    rows = 0
+
+    def cells(lines, first: Month):
+        """Each line's text after its date; ValueError on a line np.loadtxt
+        might read otherwise than csv.reader and float()."""
+        nonlocal rows
+        k = first.year * 12 + first.month - 1
+        for line in lines:
+            if ('"' in line or "\0" in line or not line.isascii() or len(line) > limit
+                    or line[:8] != f"{k // 12:04d}-{k % 12 + 1:02d},"):
+                raise ValueError("not a plain panel line")
+            rows += 1
+            k += 1
+            yield line[8:]
+
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            header = fh.readline()
-            ids = header.rstrip("\r\n").split(",")[1:]
-            if ('"' in header or "\0" in header or len(header) > limit
-                    or not header.startswith("date,") or "" in ids
-                    or first_repeated(ids) is not None):
+            ids = next(csv.reader(fh), None)
+            if ids is None or _header_fault(ids) is not None:
                 return None
-            pieces: list[list[np.ndarray]] = [[] for _ in ids]
-            first, count = None, 0
-            while block := list(islice(fh, _PANEL_BLOCK_ROWS)):
-                if first is None:
-                    first = Month.parse(block[0].split(",", 1)[0])
-                for i, date in enumerate(_month_labels(first + count, len(block))):
-                    line = block[i]
-                    if ('"' in line or "\0" in line or len(line) > limit
-                            or line[:8] != date + ","):
-                        return None
-                    block[i] = line[8:]  # the cells
-                # loadtxt refuses a row whose cell count differs from the
-                # first row's, and skips a blank one
-                values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
-                if values.shape != (len(block), len(ids)) or not np.isfinite(values).all():
-                    return None
-                _split_columns(values, pieces)
-                count += len(block)
-                del block, values  # before the next block is read
-    except (ValueError, ContractError):  # UnicodeDecodeError is a ValueError
+            ids = ids[1:]
+            line = next(fh, "")
+            first = Month.parse(line.split(",", 1)[0])
+            # loadtxt refuses a row whose cell count differs from the first
+            # row's, and skips a blank one, which the row count then shows
+            values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
+                                comments=None, ndmin=2)
+    except (ValueError, ContractError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
-    return (ids, first, pieces) if count >= 2 else None
+    if values.shape != (rows, len(ids)) or rows < 2 or not np.isfinite(values).all():
+        return None
+    return ids, first, values
 
 
-def _split_columns(values: np.ndarray, pieces) -> None:
-    """Append each column of the (rows, members) values to its member's list."""
-    for member_pieces, column in zip(pieces, values.T):
-        member_pieces.append(column.copy())  # a copy, so the block can be dropped
+def _header_fault(header: list[str]) -> str | None:
+    """What is wrong with a panel CSV's header row, or None."""
+    if not header or header[0] != "date":
+        return "header must start with 'date'"
+    ids = header[1:]
+    if not ids:
+        return "no series columns after 'date'"
+    dup = first_repeated(ids)
+    for sid in ids:
+        if sid == dup:
+            return f"duplicate column id '{sid}'"
+        if not sid:
+            return "blank column id"
+    return None
 
 
 def _read_csv(path):
     """_read_plain's result read with csv.reader and float(); raises
-    IngestionError naming the first fault, as load_panel_csv documents."""
+    IngestionError naming the first fault, as read_panel_csv documents."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
-        if not header or header[0] != "date":
-            raise IngestionError(f"{path}: row 1: header must start with 'date'")
+        fault = _header_fault(header)
+        if fault is not None:
+            raise IngestionError(f"{path}: row 1: {fault}")
         ids = header[1:]
-        if not ids:
-            raise IngestionError(f"{path}: row 1: no series columns after 'date'")
-        dup = first_repeated(ids)
-        for sid in ids:
-            if sid == dup:
-                raise IngestionError(f"{path}: row 1: duplicate column id '{sid}'")
-            if not sid:
-                raise IngestionError(f"{path}: row 1: blank column id")
 
         first = prev = None
         count = 0
-        pieces: list[list[np.ndarray]] = [[] for _ in ids]  # per member, each block's floats
+        blocks: list[np.ndarray] = []  # each block's (rows, members) floats
         block: list[list[str]] = []  # cells of the rows not yet converted
         bad = None  # error for the first bad cell; raised after the shape checks
         for rownum, row in enumerate(reader, start=2):
@@ -376,16 +324,16 @@ def _read_csv(path):
             if bad is None:
                 block.append(row[1:])
                 if len(block) == _PANEL_BLOCK_ROWS:
-                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, pieces)
+                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, blocks)
                     block = []
     if count < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, got {count}")
     if bad is None and block:
-        bad = _convert_block(path, ids, block, count + 2 - len(block), pieces)
+        bad = _convert_block(path, ids, block, count + 2 - len(block), blocks)
     del block  # the last block's strings
     if bad is not None:
         raise bad
-    return ids, first, pieces
+    return ids, first, np.concatenate(blocks)
 
 
 @contextmanager
@@ -417,18 +365,26 @@ def _not_utf8(path) -> IngestionError:
     raise AssertionError("the file failed to decode, yet every line is UTF-8")
 
 
-def _convert_block(path, ids, cells, first_row, pieces) -> IngestionError | None:
-    """Append each member's floats of `cells` to its list in `pieces`, or
-    return the error for the first bad cell; `first_row` is the file row of
-    its first row."""
-    try:
-        values = np.array(cells, dtype=float)  # float() of each cell
-    except ValueError:
-        values = None
+def _convert_block(path, ids, cells, first_row, blocks) -> IngestionError | None:
+    """Append the (rows, members) floats of `cells` to `blocks`, or return
+    the error for the first bad cell; `first_row` is the file row of its
+    first row."""
+    values = None
+    if _number_text("".join(map("".join, cells))):
+        try:
+            values = np.array(cells, dtype=float)  # float() of each cell
+        except ValueError:
+            pass
     if values is None or not np.isfinite(values).all():
         return _bad_cell(path, ids, cells, first_row)
-    _split_columns(values, pieces)
+    blocks.append(values)
     return None
+
+
+def _number_text(text: str) -> bool:
+    """Whether text is ASCII without '_', as np.loadtxt requires of a
+    number and float() does not."""
+    return text.isascii() and "_" not in text
 
 
 def _bad_cell(path, ids, cells, first_row) -> IngestionError:
@@ -436,6 +392,8 @@ def _bad_cell(path, ids, cells, first_row) -> IngestionError:
     for rownum, row in enumerate(cells, start=first_row):
         for sid, cell in zip(ids, row):
             try:
+                if not _number_text(cell):
+                    raise ValueError(cell)
                 if math.isfinite(float(cell)):
                     continue
                 problem = f"non-finite value {cell!r}"
@@ -456,19 +414,15 @@ def first_repeated(items):
 def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits.
 
-    Rows are stacked _PANEL_BLOCK_ROWS at a time, never the whole panel,
-    and formatted FORMAT_CHUNK values at a time.
+    Rows are formatted FORMAT_CHUNK values at a time, never the whole panel.
     """
     step = max(1, FORMAT_CHUNK // len(panel))
     with open(path, "wb") as fh:
         fh.write(csv_line(["date", *panel.ids]).encode())
-        for start in range(0, panel.n, _PANEL_BLOCK_ROWS):
-            stop = min(start + _PANEL_BLOCK_ROWS, panel.n)
-            dates = csv_fields([(d,) for d in _month_labels(panel.month_at(start), stop - start)])
-            values = np.stack([s.values[start:stop] for s in panel.series], axis=1)
-            for row in range(0, stop - start, step):
-                fh.write(csv_rows(dates[row:row + step], format_g12(values[row:row + step])))
-            del dates, values  # before the next block is stacked
+        for start in range(0, panel.n, step):
+            values = panel.values[start:start + step]
+            dates = csv_fields([(d,) for d in _month_labels(panel.month_at(start), len(values))])
+            fh.write(csv_rows(dates, format_g12(values)))
 
 
 def load_recession_csv(path) -> RecessionCalendar:

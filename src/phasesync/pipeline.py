@@ -263,7 +263,8 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
     """The (members, months - 2 x trim offset) phases of a panel.
 
     Per series: optional linear detrend, band-pass, instantaneous phase,
-    then the trim offset of ResultMeta.of is dropped from each end.
+    then the trim offset of ResultMeta.of is dropped from each end. Each
+    member's column goes through them as a contiguous copy.
 
     Raises
     ------
@@ -274,15 +275,15 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
     """
     m = ResultMeta.of(panel, config).trim_offset
     phases = np.empty((len(panel), panel.n - 2 * m))
-    for i, member in enumerate(panel):
+    for k, sid in enumerate(panel.ids):
         try:
-            x = member.values
+            x = np.ascontiguousarray(panel.values[:, k])
             if config.detrend:
                 x = detrend_linear(x)
             filtered = bandpass(x, config.band)
-            phases[i] = instantaneous_phase(filtered)[m:panel.n - m]
+            phases[k] = instantaneous_phase(filtered)[m:panel.n - m]
         except PhaseSyncError as exc:
-            raise type(exc)(f"series '{member.id}': {exc}") from exc
+            raise type(exc)(f"series '{sid}': {exc}") from exc
     return phases
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .panel import Month, Panel, TimeSeries
+from .panel import Month, Panel
 
 REGIMES = ("coupled", "uncoupled")
 
@@ -31,9 +31,8 @@ DETUNE_WALK_STEP = 0.15
 
 
 def gen_sine(n: int, period: float, amplitude: float = 1.0,
-             phase_offset: float = 0.0, series_id: str = "sine",
-             start: Month = Month(2000, 1)) -> TimeSeries:
-    """Sampled sinusoid: amplitude * sin(2*pi*t/period + phase_offset)."""
+             phase_offset: float = 0.0) -> np.ndarray:
+    """Sampled sinusoid: amplitude * sin(2*pi*t/period + phase_offset), t = 0..n-1."""
     if n < 2:
         raise ContractError(f"need n >= 2, got {n}")
     if not (np.isfinite(period) and period >= 2):
@@ -42,8 +41,7 @@ def gen_sine(n: int, period: float, amplitude: float = 1.0,
         if not np.isfinite(value):
             raise ContractError(f"need a finite {name}, got {value}")
     t = np.arange(n)
-    values = amplitude * np.sin(2.0 * np.pi * t / period + phase_offset)
-    return TimeSeries(id=series_id, start=start, values=values)
+    return amplitude * np.sin(2.0 * np.pi * t / period + phase_offset)
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,7 @@ def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
         values = values + spec.noise_sd * rng.standard_normal(size=(m, total))
 
     width = max(2, len(str(m)))
-    panel = Panel(tuple(
-        TimeSeries(id=f"m{i + 1:0{width}d}", start=start, values=values[i])
-        for i in range(m)
-    ))
+    panel = Panel([f"m{i + 1:0{width}d}" for i in range(m)], start, values.T)
     if return_phases:
         return panel, theta
     return panel

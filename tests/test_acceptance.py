@@ -23,7 +23,6 @@ from phasesync import (
     PipelineConfig,
     RegimeSpec,
     ResultMeta,
-    TimeSeries,
     band_from_periods,
     bandpass,
     gen_regime_panel,
@@ -143,25 +142,25 @@ def test_criterion_03_hilbert_identities():
 def test_criterion_04_locked_sine_pair():
     n, period = 240, 24.0
     band = FilterBand(5, 15)
-    lead = gen_sine(n, period, amplitude=1.0, series_id="a")
-    lag = gen_sine(n, period, amplitude=2.0, phase_offset=-np.pi / 2,
-                   series_id="b")
+    lead = gen_sine(n, period, amplitude=1.0)
+    lag = gen_sine(n, period, amplitude=2.0, phase_offset=-np.pi / 2)
+    panel = Panel(("a", "b"), Month(2000, 1), np.column_stack([lead, lag]))
 
     # no detrending here: the signals carry no trend, and the discrete
     # least-squares line of a grid sinusoid is slightly nonzero, so
     # removing it would inject in-band ripple and break the lock
     phases = []
     for member in (lead, lag):
-        filtered = bandpass(member.values, band)
+        filtered = bandpass(member, band)
         phases.append(instantaneous_phase(filtered))
     psi = phases[0] - phases[1]
     wrapped = np.mod(psi + np.pi, 2.0 * np.pi) - np.pi
     config = PipelineConfig(band=band, window=13, detrend=False)
-    margin = ResultMeta.of(Panel((lead, lag)), config).trim_offset
+    margin = ResultMeta.of(panel, config).trim_offset
     psi_err = np.abs(wrapped[margin:n - margin] - np.pi / 2).max()
     assert psi_err <= 1e-6
 
-    result = run_pipeline(Panel((lead, lag)), config)
+    result = run_pipeline(panel, config)
     assert result.pairs == (("a", "b"),)
     gamma = result.gamma2[0]
     gamma_err = np.abs(gamma - 1.0).max()
@@ -210,7 +209,7 @@ def test_criterion_07_cutoff_arithmetic():
         assert round_half_up(shortest) == short_m
         assert round_half_up(longest) == long_m
         assert band_from_periods(n, longest, shortest) == band
-        panel = Panel(tuple(TimeSeries(sid, Month(1980, 1), np.zeros(n)) for sid in "ab"))
+        panel = Panel(("a", "b"), Month(1980, 1), np.zeros((n, 2)))
         meta = ResultMeta.of(panel, PipelineConfig(band=band, window=13))
         assert meta.trim_offset == short_m
         assert meta.n_samples == n - 2 * short_m - 13 + 1
@@ -270,10 +269,7 @@ def test_criterion_10_invariance_suite():
     base = run_pipeline(panel, config)
 
     # amplitude scaling of one member
-    scaled = Panel(tuple(
-        TimeSeries(s.id, s.start, s.values * 2.5) if i == 1 else s
-        for i, s in enumerate(panel)
-    ))
+    scaled = Panel(panel.ids, panel.start, panel.values * [1.0, 2.5, 1.0, 1.0])
     scaled_result = run_pipeline(scaled, config)
     assert scaled_result.pairs == base.pairs
     amp_err = np.abs(scaled_result.gamma2 - base.gamma2).max()
@@ -292,7 +288,8 @@ def test_criterion_10_invariance_suite():
     assert jump_err <= 1e-12
 
     # pair order: reversing the panel relabels pairs, nothing else
-    reversed_result = run_pipeline(Panel(tuple(reversed(panel.series))), config)
+    reversed_result = run_pipeline(
+        Panel(panel.ids[::-1], panel.start, panel.values[:, ::-1]), config)
     reversed_gamma = dict(zip(reversed_result.pairs, reversed_result.gamma2))
     order_err = max(
         np.abs(reversed_gamma[(j, i)] - row).max()

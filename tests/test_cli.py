@@ -13,7 +13,7 @@ import pytest
 import phasesync
 import phasesync.pipeline
 import phasesync.sync
-from phasesync import Month, Panel, RegimeSpec, TimeSeries, gen_regime_panel, write_panel_csv
+from phasesync import Month, Panel, RegimeSpec, gen_regime_panel, write_panel_csv
 from phasesync.cli import main
 
 
@@ -61,6 +61,11 @@ class TestGen:
         assert rows[0] == ["date", "s1", "s2"]
         assert len(rows) == 49
         assert float(rows[1][1]) == 0.0  # sin(0)
+
+    def test_sine_with_no_members_is_clean_error(self, tmp_path, capsys):
+        assert run("gen", "--sine", "--n", 10, "--members", 0, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: panel needs at least one series\n"
+        assert not (tmp_path / "panel.csv").exists()
 
     def test_sine_requires_n(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -154,9 +159,8 @@ class TestFilter:
         # column-stacked copy for the writer peak at about 3.7 times that;
         # one copy of the panel at a time near 1.5
         rng = np.random.default_rng(0)
-        write_panel_csv(Panel(tuple(
-            TimeSeries(f"s{i}", Month(2000, 1), rng.normal(size=3000)) for i in range(150)
-        )), tmp_path / "panel.csv")
+        write_panel_csv(Panel([f"s{i}" for i in range(150)], Month(2000, 1),
+                              rng.normal(size=(150, 3000)).T), tmp_path / "panel.csv")
         tracemalloc.start()
         try:
             code = run("filter", tmp_path / "panel.csv", "--kl", 4, "--ku", 18,
@@ -601,10 +605,8 @@ class TestOutputIsNotAnInput:
 def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):
     """Files are read and written as UTF-8 whatever the locale's encoding."""
     spec = RegimeSpec(segments=((120, "coupled"),), seed=7)
-    panel = Panel(tuple(
-        TimeSeries(sid, s.start, s.values)
-        for sid, s in zip(("Tōkyō", "Ōsaka", "Nagoya"), gen_regime_panel(3, spec))
-    ))
+    regime = gen_regime_panel(3, spec)
+    panel = Panel(("Tōkyō", "Ōsaka", "Nagoya"), regime.start, regime.values)
     write_panel_csv(panel, tmp_path / "panel.csv")
     argv = ["sync", "panel.csv", "--kl", 2, "--ku", 9, "--window", 13]
     monkeypatch.chdir(tmp_path)

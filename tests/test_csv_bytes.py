@@ -10,13 +10,13 @@ import io
 import numpy as np
 import pytest
 
+import phasesync.panel
 from phasesync import (
     FilterBand,
     Month,
     Panel,
     PipelineConfig,
     RegimeSpec,
-    TimeSeries,
     gen_regime_panel,
     load_panel_csv,
     run_pipeline,
@@ -39,9 +39,7 @@ def writer_bytes(rows) -> bytes:
 def quoted_panel(n=120, seed=9) -> Panel:
     spec = RegimeSpec(segments=((n, "uncoupled"),), seed=seed)
     panel = gen_regime_panel(len(IDS), spec, start=Month(1980, 1))
-    return Panel(tuple(
-        TimeSeries(sid, s.start, s.values) for sid, s in zip(IDS, panel)
-    ))
+    return Panel(IDS, panel.start, panel.values)
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +114,30 @@ def test_panel_csv_bytes_and_round_trip(tmp_path):
     expected = [["date", *panel.ids]]
     for i in range(panel.n):
         expected.append([str(panel.month_at(i))]
-                        + [format(s.values[i], ".12g") for s in panel.series])
+                        + [format(v, ".12g") for v in panel.values[i]])
     assert path.read_bytes() == writer_bytes(expected)
 
     loaded = load_panel_csv(path)
     assert loaded.ids == IDS
     assert loaded.start == panel.start
-    for original, back in zip(panel, loaded):
-        np.testing.assert_array_equal(
-            back.values, [float(format(v, ".12g")) for v in original.values])
+    np.testing.assert_array_equal(
+        loaded.values, [[float(format(v, ".12g")) for v in row] for row in panel.values])
+
+
+def test_quoted_ids_take_the_numpy_reader(tmp_path, monkeypatch):
+    # only the header is quoted, and csv.reader parses it; the data rows
+    # hold no quote, so np.loadtxt reads them
+    path = tmp_path / "panel.csv"
+    write_panel_csv(quoted_panel(n=300), path)
+    ids, _, values = phasesync.panel._read_csv(path)
+
+    def csv_path(path):
+        raise AssertionError(f"{path} went to the csv path")
+
+    monkeypatch.setattr(phasesync.panel, "_read_csv", csv_path)
+    loaded = load_panel_csv(path)
+    assert loaded.ids == tuple(ids) == IDS
+    assert loaded.values.tobytes() == values.tobytes()
 
 
 def test_sweep_stability_bytes(tmp_path):

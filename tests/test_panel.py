@@ -13,7 +13,6 @@ from phasesync import (
     Month,
     Panel,
     RecessionCalendar,
-    TimeSeries,
     band_from_periods,
     load_panel_csv,
     load_recession_csv,
@@ -26,9 +25,7 @@ from phasesync.panel import _PANEL_BLOCK_ROWS as BLOCK
 
 def make_panel(n=24, members=3, start=Month(2000, 1), seed=0):
     rng = np.random.default_rng(seed)
-    return Panel(tuple(
-        TimeSeries(f"s{i}", start, rng.normal(size=n)) for i in range(members)
-    ))
+    return Panel([f"s{i}" for i in range(members)], start, rng.normal(size=(members, n)).T)
 
 
 # file rows (header = row 1) of a long_csv(path, LONG_MONTHS) panel, as the
@@ -89,71 +86,65 @@ class TestRoundHalfUp:
         assert round_half_up(x) == expected
 
 
-class TestTimeSeries:
-    def test_construction(self):
-        ts = TimeSeries("a", Month(2000, 1), [1.0, 2.0, 3.0])
-        assert ts.n == 3
-        assert ts.month_at(2) == Month(2000, 3)
-        assert ts.values.dtype == float
-
-    def test_immutable(self):
-        ts = TimeSeries("a", Month(2000, 1), [1.0, 2.0])
-        with pytest.raises(ValueError):
-            ts.values[0] = 9.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            ts.id = "b"
-
-    def test_too_short(self):
-        with pytest.raises(ContractError):
-            TimeSeries("a", Month(2000, 1), [1.0])
-
-    def test_non_finite(self):
-        with pytest.raises(ContractError, match="index 1"):
-            TimeSeries("a", Month(2000, 1), [1.0, np.nan, 2.0])
-
-    def test_not_1d(self):
-        with pytest.raises(ContractError):
-            TimeSeries("a", Month(2000, 1), [[1.0, 2.0], [3.0, 4.0]])
-
-
 class TestPanel:
     def test_properties(self):
         panel = make_panel(n=10, members=4)
         assert panel.n == 10
         assert len(panel) == 4
         assert panel.ids == ("s0", "s1", "s2", "s3")
-        assert panel.member("s2").id == "s2"
+        assert panel.values.shape == (10, 4)
         assert panel.month_at(9) == Month(2000, 10)
 
-    def test_duplicate_ids(self):
-        ts = TimeSeries("a", Month(2000, 1), [1.0, 2.0])
-        with pytest.raises(ContractError, match="duplicate"):
-            Panel((ts, ts))
+    def test_construction(self):
+        panel = Panel(["a"], Month(2000, 1), [[1], [2], [3]])
+        assert panel.ids == ("a",)
+        assert (panel.n, len(panel)) == (3, 1)
+        assert panel.values.dtype == float
 
-    def test_first_duplicate_id_in_order(self):
-        a, b = (TimeSeries(sid, Month(2000, 1), [1.0, 2.0]) for sid in "ab")
-        with pytest.raises(ContractError, match="duplicate series id 'b'"):
-            Panel((b, a, a, b))
+    def test_float64_values_kept_without_a_copy(self):
+        values = np.arange(6.0).reshape(3, 2)
+        panel = Panel(("a", "b"), Month(2000, 1), values)
+        assert panel.values is values
+        assert not values.flags.writeable
 
-    def test_mismatched_start(self):
-        a = TimeSeries("a", Month(2000, 1), [1.0, 2.0])
-        b = TimeSeries("b", Month(2000, 2), [1.0, 2.0])
-        with pytest.raises(ContractError, match="starts"):
-            Panel((a, b))
+    def test_immutable(self):
+        panel = Panel(("a",), Month(2000, 1), [[1.0], [2.0]])
+        with pytest.raises(ValueError):
+            panel.values[0, 0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            panel.ids = ("b",)
+
+    def test_too_short(self):
+        with pytest.raises(ContractError, match="months >= 2"):
+            Panel(("a",), Month(2000, 1), [[1.0]])
+
+    def test_not_2d(self):
+        for values in ([1.0, 2.0, 3.0], np.zeros((3, 1, 1))):
+            with pytest.raises(ContractError, match=r"\(months >= 2, 1 members\) .* shape"):
+                Panel(("a",), Month(2000, 1), values)
 
     def test_mismatched_length(self):
-        a = TimeSeries("a", Month(2000, 1), [1.0, 2.0])
-        b = TimeSeries("b", Month(2000, 1), [1.0, 2.0, 3.0])
-        with pytest.raises(ContractError, match="length"):
-            Panel((a, b))
+        # one column per id
+        with pytest.raises(ContractError, match=r"3 members\) array of values, got shape \(4, 2\)"):
+            Panel(("a", "b", "c"), Month(2000, 1), np.zeros((4, 2)))
+
+    def test_non_finite(self):
+        values = np.zeros((4, 3))
+        values[3, 0] = values[2, 1] = values[1, 2] = np.nan
+        with pytest.raises(ContractError, match="series 'a': non-finite value at index 3$"):
+            Panel(("a", "b", "c"), Month(2000, 1), values)
+
+    def test_duplicate_ids(self):
+        with pytest.raises(ContractError, match="duplicate"):
+            Panel(("a", "a"), Month(2000, 1), np.zeros((2, 2)))
+
+    def test_first_duplicate_id_in_order(self):
+        with pytest.raises(ContractError, match="duplicate series id 'b'"):
+            Panel(("b", "a", "a", "b"), Month(2000, 1), np.zeros((2, 4)))
 
     def test_empty(self):
-        with pytest.raises(ContractError):
-            Panel(())
-
-    def test_unknown_member(self):
-        with pytest.raises(KeyError):
-            make_panel().member("nope")
+        with pytest.raises(ContractError, match="panel needs at least one series"):
+            Panel((), Month(2000, 1), np.zeros((2, 0)))
 
 
 class TestFilterBand:
@@ -235,7 +226,7 @@ class TestPanelCsv:
         assert len(panel) == 2
         assert panel.n == 5
         assert panel.start == Month(1980, 1)
-        assert panel.member("b").values[1] == 3e4
+        assert panel.values[1, 1] == 3e4
 
     def test_reemission_bit_identical(self, tmp_path):
         first = tmp_path / "a.csv"
@@ -332,6 +323,8 @@ class TestPanelCsv:
         (300, "oops", "non-numeric value 'oops'"),
         (300, "inf", "non-finite value 'inf'"),
         (300, " ", "missing value"),
+        (300, "1_0", "non-numeric value '1_0'"),  # float() takes both
+        (300, "\u0665", "non-numeric value '\u0665'"),
         (LAST_OF_FOURTH_BLOCK, "nan", "non-finite value 'nan'"),
         (FIRST_OF_FIFTH_BLOCK, "nan", "non-finite value 'nan'"),
         (LAST_ROW, "1e400", "non-finite value '1e400'"),  # in the partial block
@@ -359,8 +352,8 @@ class TestPanelCsv:
         write_panel_csv(panel, first)
         loaded = load_panel_csv(first)
         assert (loaded.ids, loaded.start, loaded.n) == (panel.ids, panel.start, n)
-        for written, read in zip(panel, loaded):
-            assert read.values.tolist() == [float(format(v, ".12g")) for v in written.values]
+        assert loaded.values.tolist() == [[float(format(v, ".12g")) for v in row]
+                                          for row in panel.values]
         write_panel_csv(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
@@ -393,11 +386,10 @@ class TestPanelCsv:
 
     def test_loaded_values_are_read_only_and_own_their_data(self, tmp_path):
         path = long_csv(tmp_path / "p.csv", LONG_MONTHS)
-        panel = load_panel_csv(path)
-        for member in panel:
-            assert not member.values.flags.writeable
-            assert member.values.base is None
-            assert member.values.flags.c_contiguous
+        values = load_panel_csv(path).values
+        assert not values.flags.writeable
+        assert values.base is None
+        assert values.flags.c_contiguous
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -15,7 +15,6 @@ from phasesync import (
     RecessionCalendar,
     RegimeSpec,
     ResultMeta,
-    TimeSeries,
     bandpass,
     detrend_linear,
     gen_regime_panel,
@@ -79,7 +78,7 @@ class TestPipelineConfig:
         with pytest.raises(ContractError, match="window 63 does not fit the 61 months"):
             ResultMeta.of(panel, PipelineConfig(band=BAND, window=63, trim=False))
         # N=10, upper=2 -> margin 5 per end: nothing is left after the trim
-        panel = Panel(tuple(TimeSeries(sid, Month(2000, 1), np.zeros(10)) for sid in "ab"))
+        panel = Panel(("a", "b"), Month(2000, 1), np.zeros((10, 2)))
         with pytest.raises(ContractError, match="window 3 does not fit the 0 months"):
             ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 2), window=3))
 
@@ -108,9 +107,10 @@ class TestRunPipeline:
         assert result.n_pairs == 15
 
     def test_needs_two_series(self):
-        member = small_panel(2).series[0]
+        panel = small_panel(2)
         with pytest.raises(ContractError, match="need >= 2 series"):
-            run_pipeline(Panel((member,)), PipelineConfig(band=BAND, window=13))
+            run_pipeline(Panel(panel.ids[:1], panel.start, panel.values[:, :1]),
+                         PipelineConfig(band=BAND, window=13))
 
     def test_deterministic(self):
         config = PipelineConfig(band=BAND, window=13)
@@ -127,8 +127,8 @@ class TestRunPipeline:
         panel = small_panel(6)
         result = run_pipeline(panel, config)
         m = ResultMeta.of(panel, config).trim_offset
-        phases = [instantaneous_phase(bandpass(detrend_linear(s.values), BAND))[m:panel.n - m]
-                  for s in panel]
+        phases = [instantaneous_phase(bandpass(detrend_linear(col), BAND))[m:panel.n - m]
+                  for col in panel.values.T]
         expected = np.vstack([
             sync_index_windowed(phases[i] - phases[j], 13)
             for i, j in combinations(range(len(panel)), 2)
@@ -175,11 +175,7 @@ class TestRunPipeline:
 
     def test_amplitude_invariance(self):
         panel = small_panel(3, seed=5)
-        scaled = Panel((
-            panel.series[0],
-            TimeSeries(panel.series[1].id, panel.start, panel.series[1].values * 3.7),
-            panel.series[2],
-        ))
+        scaled = Panel(panel.ids, panel.start, panel.values * [1.0, 3.7, 1.0])
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(scaled, config)
@@ -190,9 +186,7 @@ class TestRunPipeline:
 
     def test_common_offset_invariance(self):
         panel = small_panel(3, seed=6)
-        shifted = Panel(tuple(
-            TimeSeries(s.id, s.start, s.values + 125.0) for s in panel
-        ))
+        shifted = Panel(panel.ids, panel.start, panel.values + 125.0)
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(shifted, config)
@@ -201,7 +195,7 @@ class TestRunPipeline:
 
     def test_member_order_invariance(self):
         panel = small_panel(4, seed=7)
-        reordered = Panel(tuple(reversed(panel.series)))
+        reordered = Panel(panel.ids[::-1], panel.start, panel.values[:, ::-1])
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(reordered, config)
@@ -214,8 +208,8 @@ class TestRunPipeline:
     def test_degenerate_series_named(self):
         # constant series detrends to exact zeros, so the analytic signal
         # has no amplitude anywhere
-        flat = TimeSeries("flatliner", Month(1980, 1), np.full(240, 5.0))
-        panel = Panel((small_panel(2).series[0], flat))
+        values = np.column_stack([small_panel(2).values[:, 0], np.full(240, 5.0)])
+        panel = Panel(("m01", "flatliner"), Month(1980, 1), values)
         with pytest.raises(DegeneratePhaseError, match="flatliner"):
             run_pipeline(panel, PipelineConfig(band=BAND, window=13))
 

@@ -14,16 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phasesync.cli import main
+from phasesync.cli import _bandpass_columns, main
 from phasesync.panel import (
     FilterBand,
     Month,
     Panel,
-    TimeSeries,
     load_panel_csv,
     write_panel_csv,
 )
 from phasesync.pipeline import PipelineConfig, panel_phases, ratio_above, run_pipeline
+from phasesync.spectral import bandpass, detrend_linear
 from phasesync.sync import RATIO_TOL, score_pairs, sync_index_windowed
 from phasesync.synthetic import RegimeSpec, gen_regime_panel
 
@@ -184,9 +184,9 @@ def csv_panels(draw):
     ids = draw(st.lists(st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=6),
                         min_size=1, max_size=4, unique=True))
     start = Month(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)))
-    values = draw(arrays(float, (len(ids), draw(st.integers(2, 30))),
+    values = draw(arrays(float, (draw(st.integers(2, 30)), len(ids)),
                          elements=st.floats(allow_nan=False, allow_infinity=False)))
-    return Panel(tuple(TimeSeries(sid, start, row) for sid, row in zip(ids, values)))
+    return Panel(ids, start, values)
 
 
 @PROPERTY
@@ -199,10 +199,37 @@ def test_panel_csv_round_trip(panel):
         write_panel_csv(loaded, second)
         assert loaded.ids == panel.ids
         assert (loaded.start, loaded.n) == (panel.start, panel.n)
-        for got, written in zip(loaded, panel):
-            want = [float(format(v, ".12g")) for v in written.values]
-            np.testing.assert_array_equal(got.values, want)
+        want = [[float(format(v, ".12g")) for v in row] for row in panel.values]
+        np.testing.assert_array_equal(loaded.values, want)
         assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def filter_inputs(draw):
+    """A writable (months, members) array and a band that fits it: drawn
+    values in C order, or a gen_regime_panel panel's in its own F order."""
+    n = draw(st.integers(8, 80))
+    members = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        spec = RegimeSpec(segments=((n, "uncoupled"),), seed=draw(st.integers(0, 2**16)))
+        values = np.array(gen_regime_panel(members, spec).values, order="K")
+        assert not values.flags.c_contiguous
+    else:
+        values = draw(arrays(float, (n, members), elements=st.floats(-1e6, 1e6)))
+    lower = draw(st.integers(1, n // 2))
+    return values, FilterBand(lower, draw(st.integers(lower, n // 2)))
+
+
+@PROPERTY
+@given(filter_inputs(), st.booleans())
+def test_filter_in_place_equals_per_column_reference(inputs, detrend):
+    values, band = inputs
+    expected = []
+    for col in values.T:
+        x = np.ascontiguousarray(col)
+        expected.append(bandpass(detrend_linear(x) if detrend else x, band))
+    _bandpass_columns(values, band, detrend)
+    assert np.ascontiguousarray(values).tobytes() == np.column_stack(expected).tobytes()
 
 
 FAILING_PROPERTY = """

@@ -8,7 +8,6 @@ from phasesync import (
     Panel,
     PipelineConfig,
     ResultMeta,
-    TimeSeries,
     bandpass,
     detrend_linear,
 )
@@ -200,7 +199,7 @@ class TestTrimEdges:
     ])
     def test_margins(self, n, upper, margin, out_len):
         x = np.arange(n, dtype=float)
-        panel = Panel(tuple(TimeSeries(sid, Month(2000, 1), x) for sid in "ab"))
+        panel = Panel(("a", "b"), Month(2000, 1), np.column_stack([x, x]))
         meta = ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, upper), window=3))
         assert meta.trim_offset == margin
         assert meta.n_samples == out_len - 3 + 1

@@ -53,7 +53,7 @@ class TestPhaseDifference:
         # sin(2*pi*t/P) against 2*sin(2*pi*t/P - pi/2): difference pi/2 always
         s1 = gen_sine(240, 24, 1.0, 0.0)
         s2 = gen_sine(240, 24, 2.0, -np.pi / 2)
-        psi = instantaneous_phase(s1.values) - instantaneous_phase(s2.values)
+        psi = instantaneous_phase(s1) - instantaneous_phase(s2)
         np.testing.assert_allclose(wrap(psi), np.pi / 2, atol=1e-9)
 
 
