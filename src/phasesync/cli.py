@@ -79,17 +79,7 @@ def _resolve_band(args, n: int) -> FilterBand:
 def _thresholds(args) -> tuple[float, ...]:
     if not args.r:
         return DEFAULT_THRESHOLDS
-    thresholds = check_thresholds(sorted(set(args.r)))
-    # the label names the R column and the metadata keys, so it must be unique
-    labels: dict[str, float] = {}
-    for r in thresholds:
-        other = labels.setdefault(format(r, "g"), r)
-        if other != r:
-            raise ContractError(
-                f"--r {other!r} and --r {r!r} both print as {format(r, 'g')}: "
-                f"thresholds must differ in their first 6 significant digits"
-            )
-    return thresholds
+    return check_thresholds(sorted(set(args.r)))
 
 
 def _config(args, band: FilterBand, window: int) -> PipelineConfig:

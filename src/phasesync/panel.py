@@ -18,6 +18,8 @@ from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
 from .errors import ContractError, IngestionError
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
+# a line's first cell and comma; csv.reader joins its quoted and plain parts
+_DATE_CELL = re.compile(r'(?:"([^"]*)")?([^",]*),')
 
 
 def round_half_up(x: float) -> int:
@@ -190,12 +192,6 @@ class RecessionCalendar:
         return mask
 
 
-# panel rows per block when the csv path converts a panel CSV's cells: on a
-# 150-member panel one block's strings take well under 1 MB, never a copy of
-# the whole file
-_PANEL_BLOCK_ROWS = 64
-
-
 def load_panel_csv(path) -> Panel:
     """Read a panel from CSV with header ``date,<id1>,<id2>,...``, as
     read_panel_csv reads it."""
@@ -207,67 +203,62 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
     writable (months, members) float64 array.
 
     Dates must be YYYY-MM and strictly consecutive months. Every cell must
-    be a finite number written in ASCII, without '_'. Errors name the
-    offending row (1-based, header = row 1) and column. Problems with a
-    row's shape (its cell count or its date) are reported before any bad
-    cell value, whichever row holds it; among bad cells, the first in file
-    order is reported.
+    be a finite number written in ASCII, without '_' or a line break;
+    spaces and the ASCII separators \\x1c-\\x1f around it are ignored. Cells
+    and dates may be quoted. Errors name the offending row (1-based,
+    header = row 1) and column. Problems with a row's shape (its cell
+    count or its date) are reported before any bad cell value, whichever
+    row holds it; among bad cells, the first in file order is reported.
 
-    The file is read in one pass by numpy's C text reader (_read_plain),
-    which fills one array. A file it does not take whole, among them every
-    faulty one and every one with a quote in a data row, is read again
-    with csv.reader (_read_csv), which names the error.
-    """
-    return _read_plain(path) or _read_csv(path)
-
-
-def _read_plain(path):
-    """read_panel_csv's result with the cells converted by np.loadtxt, or
-    None when the csv path must read the file.
-
-    That is the case for a file that is not UTF-8, whose header csv.reader
-    refuses or _header_fault faults, with fewer than 2 rows or a
-    non-finite value, or with a data line that np.loadtxt refuses or that
-    holds a quote, a NUL or a character that is not ASCII, is longer than
-    csv's field limit or does not start with its month (str(Month) and a
-    comma). Without quotes a data line's fields are its text split at
-    commas, as csv.reader splits it, and np.loadtxt parses a cell with
-    PyOS_string_to_double, as float() does, and takes no '_': so a file
-    it takes holds the floats the csv path would read.
+    np.loadtxt reads the values in one pass: it splits a line at commas
+    outside quotes as csv.reader does, and takes the cells _bad_cell takes.
+    A file with a line cells() refuses, or that np.loadtxt refuses, is
+    faulty, and _fault names its first fault.
     """
     limit = csv.field_size_limit()
     rows = 0
 
     def cells(lines, first: Month):
-        """Each line's text after its date; ValueError on a line np.loadtxt
-        might read otherwise than csv.reader and float()."""
+        """Each line's text after its month, plain or (partly) quoted, and a
+        comma; ValueError on a line np.loadtxt might read otherwise than
+        csv.reader and _bad_cell: one with a NUL or non-ASCII character, a
+        quoted cell open at its line break or a field over csv's size limit."""
         nonlocal rows
-        k = first.year * 12 + first.month - 1
-        for line in lines:
-            if ('"' in line or "\0" in line or not line.isascii() or len(line) > limit
-                    or line[:8] != f"{k // 12:04d}-{k % 12 + 1:02d},"):
-                raise ValueError("not a plain panel line")
-            rows += 1
-            k += 1
-            yield line[8:]
+        before = first.year * 12 + first.month - 2  # the month before first
+        for rows, line in enumerate(lines, start=1):
+            # an odd count of quotes may leave a quoted cell open at the line
+            # break; a field's length is counted without its quotes
+            if ("\0" in line or not line.isascii()
+                    or '"' in line and line.count('"') % 2 and line[-1] in "\r\n"
+                    or len(line) > limit and max(map(len, line.rstrip("\r\n")
+                                                     .replace('"', "").split(","))) > limit):
+                raise ValueError("not a panel line np.loadtxt reads as csv.reader does")
+            k = before + rows
+            date = f"{k // 12:04d}-{k % 12 + 1:02d},"
+            if line[:8] == date:
+                yield line[8:]
+            elif (m := _DATE_CELL.match(line)) and (m[1] or "") + m[2] == date[:7]:
+                yield line[m.end():]
+            else:
+                raise ValueError("a data line does not start with its month")
 
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            ids = next(csv.reader(fh), None)
-            if ids is None or _header_fault(ids) is not None:
-                return None
+            ids = next(csv.reader(fh), [])
+            if _header_fault(ids) is not None:
+                raise ValueError("no panel header")
             ids = ids[1:]
             line = next(fh, "")
-            first = Month.parse(line.split(",", 1)[0])
+            first = Month.parse((next(csv.reader([line])) or [""])[0])
             # loadtxt refuses a row whose cell count differs from the first
             # row's, and skips a blank one, which the row count then shows
             values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
-                                comments=None, ndmin=2)
+                                quotechar='"', comments=None, ndmin=2)
+        if values.shape == (rows, len(ids)) and rows >= 2 and np.isfinite(values).all():
+            return ids, first, values
     except (ValueError, ContractError, csv.Error):  # UnicodeDecodeError is a ValueError
-        return None
-    if values.shape != (rows, len(ids)) or rows < 2 or not np.isfinite(values).all():
-        return None
-    return ids, first, values
+        pass
+    raise _fault(path)
 
 
 def _header_fault(header: list[str]) -> str | None:
@@ -286,54 +277,42 @@ def _header_fault(header: list[str]) -> str | None:
     return None
 
 
-def _read_csv(path):
-    """_read_plain's result read with csv.reader and float(); raises
-    IngestionError naming the first fault, as read_panel_csv documents."""
+def _fault(path) -> IngestionError:
+    """The error naming the first fault, in read_panel_csv's order, of a
+    panel CSV read with csv.reader. A field over csv's size limit and a
+    line that is not UTF-8 raise their IngestionError here."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
-            raise IngestionError(f"{path}: empty file")
-        fault = _header_fault(header)
-        if fault is not None:
-            raise IngestionError(f"{path}: row 1: {fault}")
+            return IngestionError(f"{path}: empty file")
+        if (fault := _header_fault(header)) is not None:
+            return IngestionError(f"{path}: row 1: {fault}")
         ids = header[1:]
 
-        first = prev = None
+        prev = bad = None  # bad: the first bad cell's error, kept for after the shape checks
         count = 0
-        blocks: list[np.ndarray] = []  # each block's (rows, members) floats
-        block: list[list[str]] = []  # cells of the rows not yet converted
-        bad = None  # error for the first bad cell; raised after the shape checks
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}"
-                )
+                return IngestionError(f"{path}: row {rownum}: expected {len(header)} "
+                                      f"cells, got {len(row)}")
             try:
                 m = Month.parse(row[0])
             except ContractError as exc:
-                raise IngestionError(f"{path}: row {rownum}: {exc}") from exc
-            if prev is None:
-                first = m
-            elif m - prev != 1:
-                raise IngestionError(
+                return IngestionError(f"{path}: row {rownum}: {exc}")
+            if prev is not None and m - prev != 1:
+                return IngestionError(
                     f"{path}: row {rownum}: non-consecutive calendar months "
                     f"({prev} followed by {m})"
                 )
             prev = m
             count += 1
             if bad is None:
-                block.append(row[1:])
-                if len(block) == _PANEL_BLOCK_ROWS:
-                    bad = _convert_block(path, ids, block, rownum - len(block) + 1, blocks)
-                    block = []
+                bad = _bad_cell(path, rownum, ids, row[1:])
     if count < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows, got {count}")
-    if bad is None and block:
-        bad = _convert_block(path, ids, block, count + 2 - len(block), blocks)
-    del block  # the last block's strings
-    if bad is not None:
-        raise bad
-    return ids, first, np.concatenate(blocks)
+        return IngestionError(f"{path}: need at least 2 data rows, got {count}")
+    if bad is None:
+        raise AssertionError("np.loadtxt refused the file, yet it has no fault")
+    return bad
 
 
 @contextmanager
@@ -365,42 +344,23 @@ def _not_utf8(path) -> IngestionError:
     raise AssertionError("the file failed to decode, yet every line is UTF-8")
 
 
-def _convert_block(path, ids, cells, first_row, blocks) -> IngestionError | None:
-    """Append the (rows, members) floats of `cells` to `blocks`, or return
-    the error for the first bad cell; `first_row` is the file row of its
-    first row."""
-    values = None
-    if _number_text("".join(map("".join, cells))):
+def _bad_cell(path, rownum, ids, cells) -> IngestionError | None:
+    """The error for the first missing, non-numeric or non-finite cell of a
+    data row, or None. A number is ASCII without '_' or a line break, and
+    float() takes it once str.strip() has removed its whitespace, which
+    includes the separators \\x1c-\\x1f: np.loadtxt's rule."""
+    for sid, cell in zip(ids, cells):
+        text = cell.strip()
         try:
-            values = np.array(cells, dtype=float)  # float() of each cell
+            if not cell.isascii() or "_" in cell or "\n" in cell or "\r" in cell:
+                raise ValueError(cell)
+            if math.isfinite(float(text)):
+                continue
+            problem = f"non-finite value {cell!r}"
         except ValueError:
-            pass
-    if values is None or not np.isfinite(values).all():
-        return _bad_cell(path, ids, cells, first_row)
-    blocks.append(values)
+            problem = f"non-numeric value {cell!r}" if text else "missing value"
+        return IngestionError(f"{path}: row {rownum}, column '{sid}': {problem}")
     return None
-
-
-def _number_text(text: str) -> bool:
-    """Whether text is ASCII without '_', as np.loadtxt requires of a
-    number and float() does not."""
-    return text.isascii() and "_" not in text
-
-
-def _bad_cell(path, ids, cells, first_row) -> IngestionError:
-    """The error for the first missing, non-numeric or non-finite cell in file order."""
-    for rownum, row in enumerate(cells, start=first_row):
-        for sid, cell in zip(ids, row):
-            try:
-                if not _number_text(cell):
-                    raise ValueError(cell)
-                if math.isfinite(float(cell)):
-                    continue
-                problem = f"non-finite value {cell!r}"
-            except ValueError:
-                problem = f"non-numeric value {cell!r}" if cell.strip() else "missing value"
-            return IngestionError(f"{path}: row {rownum}, column '{sid}': {problem}")
-    raise AssertionError("no bad cell, yet the cells did not convert to finite floats")
 
 
 def first_repeated(items):

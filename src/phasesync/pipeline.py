@@ -24,8 +24,9 @@ from .sync import check_window, lock_counts, score_pairs
 
 def check_thresholds(values) -> tuple[float, ...]:
     """values as a tuple of floats, -0 stored as 0. Raises ContractError
-    unless there is at least one, each lies in [0, 1] and they strictly
-    increase."""
+    unless there is at least one, each lies in [0, 1], they strictly
+    increase and no two print alike as format(r, "g"), the label that
+    names their R column and metadata keys."""
     thresholds = tuple(float(r) + 0.0 for r in values)
     if not thresholds:
         raise ContractError("need at least one threshold")
@@ -34,6 +35,12 @@ def check_thresholds(values) -> tuple[float, ...]:
             raise ContractError(f"thresholds must lie in [0, 1], got {r}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ContractError(f"thresholds must be strictly increasing, got {thresholds}")
+    for a, b in zip(thresholds, thresholds[1:]):
+        if format(a, "g") == format(b, "g"):
+            raise ContractError(
+                f"thresholds {a!r} and {b!r} both print as {format(a, 'g')}: "
+                f"thresholds must differ in their first 6 significant digits"
+            )
     return thresholds
 
 

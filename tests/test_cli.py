@@ -277,7 +277,8 @@ class TestSync:
                    "--r", 0.7, "--r", 0.70000000000001, "--calendar", calendar,
                    "--out", out) == 1
         err = capsys.readouterr().err
-        assert "--r 0.7 and --r 0.70000000000001 both print as 0.7" in err
+        assert ("thresholds 0.7 and 0.70000000000001 both print as 0.7: "
+                "thresholds must differ in their first 6 significant digits") in err
         assert list(out.iterdir()) == []
 
     def test_nan_threshold_is_a_range_error(self, regime_panel, tmp_path, capsys):

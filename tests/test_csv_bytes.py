@@ -125,19 +125,27 @@ def test_panel_csv_bytes_and_round_trip(tmp_path):
 
 
 def test_quoted_ids_take_the_numpy_reader(tmp_path, monkeypatch):
-    # only the header is quoted, and csv.reader parses it; the data rows
-    # hold no quote, so np.loadtxt reads them
-    path = tmp_path / "panel.csv"
-    write_panel_csv(quoted_panel(n=300), path)
-    ids, _, values = phasesync.panel._read_csv(path)
+    # every id, date and cell quoted: csv.reader parses the header and
+    # np.loadtxt the data rows, to the floats of the twin where only the
+    # ids are quoted; neither file reaches the fault finder
+    panel = quoted_panel(n=300)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_panel_csv(panel, plain)
+    with open(quoted, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["date", *panel.ids])
+        writer.writerows([str(panel.month_at(i)), *map("{:.12g}".format, row)]
+                         for i, row in enumerate(panel.values))
+    assert quoted.read_bytes().count(b'"') > 2 * panel.values.size
 
-    def csv_path(path):
-        raise AssertionError(f"{path} went to the csv path")
+    def fault(path):
+        raise AssertionError(f"{path} went to the fault finder")
 
-    monkeypatch.setattr(phasesync.panel, "_read_csv", csv_path)
-    loaded = load_panel_csv(path)
-    assert loaded.ids == tuple(ids) == IDS
-    assert loaded.values.tobytes() == values.tobytes()
+    monkeypatch.setattr(phasesync.panel, "_fault", fault)
+    expected, loaded = load_panel_csv(plain), load_panel_csv(quoted)
+    assert loaded.ids == expected.ids == IDS
+    assert loaded.start == expected.start
+    assert loaded.values.tobytes() == expected.values.tobytes()
 
 
 def test_sweep_stability_bytes(tmp_path):

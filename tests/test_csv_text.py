@@ -1,6 +1,8 @@
 """The "%.12g" formatter against Python's own formatting, and the panel
-reader's numpy path against its csv.reader path."""
+reader against a csv.reader reference."""
 
+import csv
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,9 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasesync.csvtext import G12_WIDTH, format_g12
-from phasesync.errors import IngestionError
-from phasesync.panel import _read_csv, _read_plain, load_panel_csv, write_panel_csv
-from phasesync.synthetic import RegimeSpec, gen_regime_panel
+from phasesync.errors import ContractError, IngestionError
+from phasesync.panel import Month, load_panel_csv
 
 # the same examples on every run, and no example database written
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -91,56 +92,99 @@ def write_text(text: str):
 
 DIGITS = "0123456789"
 ARABIC_INDIC = "٠١٢٣٤٥٦٧٨٩"
+SEPARATORS = "\x1c\x1d\x1e\x1f"  # whitespace to str.strip() and np.loadtxt, not to float()
 
 
 @st.composite
 def cell_texts(draw):
     """Mostly number text that float() takes, with signs, spaces, '.5' and
     '5.' forms and exponents; some with '_' or Arabic-Indic digits, which
-    float() takes and both readers refuse; some words; some quoted."""
-    kind = draw(st.integers(0, 15))
+    float() takes and the reader refuses; some padded with the separators
+    \x1c-\x1f, which the reader takes as whitespace, or holding a NUL; some
+    words; some quoted, with a line break inside the quotes, or with a
+    stray quote."""
+    kind = draw(st.integers(0, 31))
     if kind == 0:
-        text = draw(st.sampled_from(["nan", "-inf", "", " ", "1e999", "x"]))
+        text = draw(st.sampled_from(["nan", "-inf", "", " ", "1e999", "x", "\0"]))
     else:
-        digits = DIGITS * 6 + "_" + ARABIC_INDIC[:2]
-        text = (draw(st.sampled_from(["", " ", "+", "-", " -"]))
-                + draw(st.text(st.sampled_from(digits), min_size=1, max_size=5))
+        text = (draw(st.sampled_from(["", " ", "+", "-", " -", *SEPARATORS]))
+                + draw(st.text(st.sampled_from(DIGITS), min_size=1, max_size=5))
+                + draw(st.sampled_from([""] * 8 + ["_1", *ARABIC_INDIC[:2]]))
                 + draw(st.sampled_from(["", ".", ".5", "5.", ".25"]))
                 + draw(st.sampled_from(["", "", "e5", "E-3", "e+2"]))
-                + draw(st.sampled_from(["", "", " ", "\t"])))
-    return f'"{text}"' if kind == 1 else text
+                + draw(st.sampled_from(["", "", "", " ", "\t", "\0", *SEPARATORS])))
+    if kind == 1:
+        return '"' + text + draw(st.sampled_from(["\n", "\r\n", "\r"])) + '"'
+    if kind == 2:
+        return draw(st.sampled_from([f'{text}"', f'"{text}"x', f'"{text}', f'"{text}""']))
+    if kind <= 10:
+        return f'"{text}"'
+    return text
 
 
-def loaded(read, path):
-    """(ids, first month, the values' bytes) of a reader's result."""
-    ids, first, values = read(path)
-    return ids, first, values.tobytes()
+def number(cell: str) -> float:
+    """float(cell.strip()) of ASCII text without '_' or a line break, else nan."""
+    if cell.isascii() and not {"_", "\n", "\r"} & set(cell):
+        try:
+            return float(cell.strip())
+        except ValueError:
+            pass
+    return math.nan
 
 
-@settings(PROPERTY, max_examples=150)
-@given(st.lists(st.tuples(cell_texts(), cell_texts()), min_size=2, max_size=4))
-def test_plain_reader_agrees_with_csv_reader(rows):
-    text = "date,a,b\r\n" + "".join(
-        f"2000-{month:02d},{a},{b}\r\n" for month, (a, b) in enumerate(rows, start=1))
+def reference(path):
+    """The panel CSV at path read with csv.reader, a cell taken when its
+    number() is finite: its (months, members) floats, or the text that
+    follows the path in the error naming its first fault (each row's shape
+    and date, then the first bad cell)."""
+    values, bad, prev = [], None, None
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                try:
+                    month = Month.parse(row[0]) if len(row) == len(header) else None
+                except ContractError:
+                    month = None
+                if month is None or prev is not None and month - prev != 1:
+                    return f"row {rownum}: "
+                prev = month
+                values.append([number(cell) for cell in row[1:]])
+                for sid, value in zip(header[1:], values[-1]):
+                    if bad is None and not math.isfinite(value):
+                        bad = f"row {rownum}, column '{sid}': "
+        except csv.Error:  # a NUL, before Python 3.11
+            return "line "
+    if len(values) < 2:
+        return "need at least 2 data rows"
+    return bad or np.array(values)
+
+
+# how a row writes its date d: form.format(d[:cut], d[cut:]); csv.reader reads
+# '"2000"-01', '"2000-"01' and '""2000-01' as 2000-01, and '20"00"-01' as is
+DATE_FORMS = ([("{}{}", 0)] * 6 + [('"{}{}"', 0)] * 3
+              + [(" {}{}", 0), ('"{}{}" ', 0), ('"{}"{}', 4), ('"{}"{}', 5),
+                 ('"{}"{}', 0), ('{}"{}"', 2)])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(DATE_FORMS), cell_texts(), cell_texts()),
+                min_size=2, max_size=4),
+       st.sampled_from(["\r\n", "\n", ""]))
+def test_loads_the_csv_reader_floats_or_names_the_fault(rows, end):
+    # dates plain, quoted, space-padded or quoted in part; the last line
+    # with or without its line break
+    dates = [str(Month(2000, month)) for month in range(1, len(rows) + 1)]
+    text = "date,a,b\r\n" + "\r\n".join(
+        f"{form.format(d[:cut], d[cut:])},{a},{b}"
+        for d, ((form, cut), a, b) in zip(dates, rows)) + end
     tmp, path = write_text(text)
     with tmp:
-        try:
-            expected = loaded(_read_csv, path)
-        except IngestionError as exc:
-            assert _read_plain(path) is None  # only the csv path names an error
+        expected = reference(path)
+        if isinstance(expected, str):
             with pytest.raises(IngestionError) as error:
                 load_panel_csv(path)
-            assert str(error.value) == str(exc)
-            return
-        if _read_plain(path) is not None:
-            assert loaded(_read_plain, path) == expected
-        panel = load_panel_csv(path)
-        assert panel.values.tobytes() == expected[2]
-
-
-def test_plain_reader_takes_a_written_panel(tmp_path):
-    path = tmp_path / "panel.csv"
-    spec = RegimeSpec(segments=((150, "coupled"),), seed=1)
-    write_panel_csv(gen_regime_panel(4, spec), path)
-    assert _read_plain(path) is not None
-    assert loaded(_read_plain, path) == loaded(_read_csv, path)
+            assert str(error.value).startswith(f"{path}: {expected}")
+        else:
+            assert load_panel_csv(path).values.tobytes() == expected.tobytes()

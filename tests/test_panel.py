@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from phasesync import (
     round_half_up,
     write_panel_csv,
 )
-from phasesync.panel import _PANEL_BLOCK_ROWS as BLOCK
 
 
 def make_panel(n=24, members=3, start=Month(2000, 1), seed=0):
@@ -28,8 +29,10 @@ def make_panel(n=24, members=3, start=Month(2000, 1), seed=0):
     return Panel([f"s{i}" for i in range(members)], start, rng.normal(size=(members, n)).T)
 
 
-# file rows (header = row 1) of a long_csv(path, LONG_MONTHS) panel, as the
-# loader's blocks of BLOCK rows fall; the panel ends in a partial block
+# file rows (header = row 1) of a long_csv(path, LONG_MONTHS) panel at
+# steps of BLOCK rows, so the bad rows below lie well apart and far into
+# the file; the panel's length is no multiple of BLOCK
+BLOCK = 64
 LONG_MONTHS = 700
 LAST_ROW = LONG_MONTHS + 1
 FIRST_BLOCK_ROW = 2
@@ -301,8 +304,10 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match=message):
             load_panel_csv(path)
 
-    # 2000-02 with a newline inside the quoted cell, and in Arabic-Indic digits
-    @pytest.mark.parametrize("cell", ['"2000-02\n"', "\u0662\u0660\u0660\u0660-\u0660\u0662"])
+    # 2000-02 with a newline inside the quoted cell, in Arabic-Indic digits, and
+    # with a quote or space that csv.reader keeps in the cell
+    @pytest.mark.parametrize("cell", ['"2000-02\n"', "\u0662\u0660\u0660\u0660-\u0660\u0662",
+                                      '20"00"-02', '"2000"-02 ', '"""2000"-02'])
     def test_date_that_is_not_yyyy_mm_names_row(self, tmp_path, cell):
         path = tmp_path / "p.csv"
         path.write_text(f"date,a,b\n2000-01,1,2\n{cell},3,4\n2000-03,5,6\n",
@@ -311,8 +316,8 @@ class TestPanelCsv:
             load_panel_csv(path)
 
     def test_shape_error_in_third_block_before_bad_cell_in_first(self, tmp_path):
-        # cells are read in blocks of BLOCK rows: the bad cell is in the
-        # first block, the short row in the third
+        # the bad cell is in the first data row, the short row over 150
+        # rows later
         path = long_csv(tmp_path / "p.csv", LONG_MONTHS,
                         {FIRST_BLOCK_ROW: "oops,1", IN_THIRD_BLOCK: "1"})
         with pytest.raises(IngestionError,
@@ -327,7 +332,7 @@ class TestPanelCsv:
         (300, "\u0665", "non-numeric value '\u0665'"),
         (LAST_OF_FOURTH_BLOCK, "nan", "non-finite value 'nan'"),
         (FIRST_OF_FIFTH_BLOCK, "nan", "non-finite value 'nan'"),
-        (LAST_ROW, "1e400", "non-finite value '1e400'"),  # in the partial block
+        (LAST_ROW, "1e400", "non-finite value '1e400'"),
     ])
     def test_bad_cell_in_later_block_names_its_row(self, tmp_path, rownum, cell, problem):
         path = long_csv(tmp_path / "p.csv", LONG_MONTHS, {rownum: f"{cell},1"})
@@ -342,8 +347,8 @@ class TestPanelCsv:
                            match=rf"row {IN_SECOND_BLOCK}, column 'b': non-finite value 'nan'"):
             load_panel_csv(path)
 
-    # panels of several blocks that end one row short of, on, and one row
-    # past a block boundary
+    # panels whose lengths lie one row short of, on, and one row past
+    # multiples of BLOCK
     @pytest.mark.parametrize("n", [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK + 1])
     def test_round_trip_across_block_boundaries(self, tmp_path, n):
         panel = make_panel(n=n, members=3, seed=n)
@@ -364,6 +369,23 @@ class TestPanelCsv:
         # each member's pieces near 1.4
         path = tmp_path / "p.csv"
         write_panel_csv(make_panel(n=3000, members=150), path)
+        tracemalloc.start()
+        try:
+            panel = load_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * len(panel) * panel.n * 8
+
+    def test_quoted_panel_peak_memory_a_few_times_the_values(self, tmp_path):
+        # every date and cell quoted: np.loadtxt reads it as it reads an
+        # unquoted file; converting csv.reader's cells in blocks instead
+        # peaks near 2 times the floats
+        path = tmp_path / "p.csv"
+        write_panel_csv(make_panel(n=3000, members=150), path)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [",".join(f'"{cell}"' for cell in line.split(","))
+                                              for line in lines]) + "\n")
         tracemalloc.start()
         try:
             panel = load_panel_csv(path)
@@ -424,6 +446,61 @@ class TestPanelCsv:
         path = long_csv(tmp_path / "p.csv", 5, {3: "1" * 140_000 + ",2"})
         with pytest.raises(IngestionError, match="line 3: field larger than field limit"):
             load_panel_csv(path)
+
+    # csv's limit bounds each field, unquoted, not the line: a long row of
+    # short cells loads, and so does a quoted number of exactly the limit
+    @pytest.mark.parametrize("cell, loads", [
+        ("1", True), ('"' + "1" * 100 + '"', True), ("1" * 100, True), ("1" * 101, False),
+        ('"' + "1" * 101 + '"', False),
+    ])
+    def test_field_limit_bounds_each_field(self, tmp_path, cell, loads):
+        path = tmp_path / "p.csv"
+        ids = [f"s{k}" for k in range(60)]
+        row = ",".join(["2.5"] * 59)
+        path.write_text(f"date,{','.join(ids)}\n2000-01,{cell},{row}\n2000-02,1,{row}\n")
+        limit = csv.field_size_limit(100)
+        try:
+            if loads:
+                assert load_panel_csv(path).values[0, 0] == float(cell.strip('"'))
+            else:
+                with pytest.raises(IngestionError,
+                                   match="line 2: field larger than field limit"):
+                    load_panel_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    # \x1c-\x1f are whitespace to str.strip() and np.loadtxt, not to
+    # float(); a quoted cell in another row must not change the answer
+    @pytest.mark.parametrize("cell", ["1\x1c", "\x1f1", '"\x1e1\x1d"'])
+    @pytest.mark.parametrize("other", ["2", '"2"'])
+    def test_separators_beside_a_number_are_whitespace(self, tmp_path, cell, other):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a,b\n2000-01,{cell},3\n2000-02,{other},4\n")
+        assert load_panel_csv(path).values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("other", ["2", '"2"'])
+    def test_separator_before_the_real_fault_is_not_named(self, tmp_path, other):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a,b\n2000-01,1\x1c,{other}\n2000-02,3,oops\n")
+        with pytest.raises(IngestionError, match=r"row 3, column 'b': non-numeric value 'oops'$"):
+            load_panel_csv(path)
+
+    @pytest.mark.parametrize("cell", ['"1\n"', '"\r\n1"', '"1\r"'])
+    def test_quoted_line_break_is_non_numeric(self, tmp_path, cell):
+        # float() takes "1\n" as 1; np.loadtxt reads a file line by line
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"date,a,b\n2000-01,2,3\n2000-02,{cell},4\n".encode())
+        problem = re.escape(f"non-numeric value {cell[1:-1]!r}")
+        with pytest.raises(IngestionError, match=rf"row 3, column 'a': {problem}$"):
+            load_panel_csv(path)
+
+    @pytest.mark.parametrize("form", ['"{}"-{:02}', '"{}-"{:02}', '""{}-{:02}', '"{}-0"{}'])
+    def test_partly_quoted_date_loads(self, tmp_path, form):
+        # csv.reader joins a cell's quoted part, quotes dropped, and the text after it
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a\n{form.format(2000, 1)},1\n{form.format(2000, 2)},2\n")
+        panel = load_panel_csv(path)
+        assert (panel.start, panel.values.tolist()) == (Month(2000, 1), [[1.0], [2.0]])
 
 
 class TestRecessionCalendar:

@@ -58,6 +58,14 @@ class TestPipelineConfig:
         with pytest.raises(ContractError):
             PipelineConfig(band=BAND, **{"window": 13, **kwargs})
 
+    def test_thresholds_with_one_label_rejected(self):
+        # both print as 0.7, which would name two R columns and two metadata keys alike
+        with pytest.raises(ContractError) as error:
+            PipelineConfig(band=BAND, window=13, thresholds=(0.3, 0.7, 0.70000000000001))
+        assert str(error.value) == (
+            "thresholds 0.7 and 0.70000000000001 both print as 0.7: "
+            "thresholds must differ in their first 6 significant digits")
+
     def test_negative_zero_threshold_stored_as_zero(self):
         config = PipelineConfig(band=BAND, window=13, thresholds=(-0.0, 0.5))
         assert config.thresholds == (0.0, 0.5)
