@@ -31,21 +31,21 @@ from .panel import (
     write_panel_csv,
 )
 from .pipeline import (
+    DEFAULT_THRESHOLDS,
     PipelineConfig,
     ResultMeta,
     SyncResult,
     band_items,
     check_thresholds,
+    filter_column,
     gamma_csv_sink,
     panel_phases,
+    r_label,
     run_pipeline,
     write_metadata,
 )
-from .spectral import bandpass, detrend_linear
 from .sync import score_pairs
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
-
-DEFAULT_THRESHOLDS = (0.7, 0.8)
 
 
 def _header_items(args) -> list[tuple[str, str]]:
@@ -77,9 +77,7 @@ def _resolve_band(args, n: int) -> FilterBand:
 
 
 def _thresholds(args) -> tuple[float, ...]:
-    if not args.r:
-        return DEFAULT_THRESHOLDS
-    return check_thresholds(sorted(set(args.r)))
+    return check_thresholds(sorted(set(args.r))) if args.r else DEFAULT_THRESHOLDS
 
 
 def _config(args, band: FilterBand, window: int) -> PipelineConfig:
@@ -115,22 +113,12 @@ class _OutputTracker:
                 pass
 
 
-def _bandpass_columns(values: np.ndarray, band: FilterBand, detrend: bool) -> None:
-    """Band-pass each column of a writable (months, members) array in place,
-    linearly detrended first when detrend. Each column goes through
-    detrend_linear and bandpass as a contiguous copy, so its floats do not
-    depend on the array's memory order."""
-    for k in range(values.shape[1]):
-        x = np.ascontiguousarray(values[:, k])
-        values[:, k] = bandpass(detrend_linear(x) if detrend else x, band)
-
-
 def cmd_filter(args, out: _OutputTracker) -> None:
     """Band-pass every member of the input panel into filtered.csv.
 
     The panel is read as one writable array and each member's column is
-    band-passed in place, so only one copy of the panel is held; the
-    metadata items, which hash the input file, are taken first.
+    replaced by its filter_column, so only one copy of the panel is held;
+    the metadata items, which hash the input file, are taken first.
     """
     ids, first, values = read_panel_csv(args.input)
     n = len(values)
@@ -140,7 +128,8 @@ def cmd_filter(args, out: _OutputTracker) -> None:
         ("n_months", str(n)),
         ("detrend", str(args.detrend).lower()),
     ] + band_items(n, band)
-    _bandpass_columns(values, band, args.detrend)
+    for k in range(len(ids)):
+        values[:, k] = filter_column(values[:, k], band, args.detrend)
     write_panel_csv(Panel(ids, first, values), out.target("filtered.csv"))
     write_metadata(out.target("metadata.txt"), items)
 
@@ -163,10 +152,9 @@ def cmd_sync(args, out: _OutputTracker) -> None:
         labels = tuple("contraction" if c else "expansion" for c in mask)
         regimes = [(regime, m) for regime, m in (("contraction", mask), ("expansion", ~mask))
                    if m.any()]
-        for r in config.thresholds:
-            for regime, m in regimes:
-                regime_items.append((f"mean_R_{format(r, 'g')}_{regime}",
-                                     format(result.ratios[r][m].mean(), ".12g")))
+        regime_items = [(f"mean_R_{r_label(r)}_{regime}",
+                         format(result.ratios[r][m].mean(), ".12g"))
+                        for r in config.thresholds for regime, m in regimes]
 
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))
@@ -256,7 +244,7 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     fields, pearsons = [], []
     for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
         for r, a, b in zip(thresholds, ratios_a, ratios_b):
-            fields.append((label_a, label_b, format(r, "g")))
+            fields.append((label_a, label_b, r_label(r)))
             if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
                 pearsons.append(float("nan"))  # undefined: an R series is constant
             else:
@@ -270,7 +258,7 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
         ("n_months", str(panel.n)),
         ("settings", ",".join(metas)),
         *fixed_items,
-        ("thresholds", ",".join(format(r, "g") for r in thresholds)),
+        ("thresholds", ",".join(map(r_label, thresholds))),
         ("detrend", str(args.detrend).lower()),
         ("trim", str(args.trim).lower()),
         ("common_months", str(last - first + 1)),

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -27,14 +28,24 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def is_integer(value) -> bool:
+    """Whether value equals an int; False, not an exception, for nan or inf."""
+    try:
+        return value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True, order=True)
 class Month:
-    """A calendar month at month granularity (no day component)."""
+    """A calendar month (no day component) of the years 0..9999 YYYY-MM writes."""
 
     year: int
     month: int
 
     def __post_init__(self):
+        if not 0 <= self.year <= 9999:
+            raise ContractError(f"year must be in 0..9999, got {self.year}")
         if not 1 <= self.month <= 12:
             raise ContractError(f"month must be in 1..12, got {self.month}")
 
@@ -58,10 +69,10 @@ class Month:
         return (self.year - other.year) * 12 + (self.month - other.month)
 
 
-def _month_labels(first: Month, count: int) -> list[str]:
+def month_labels(first: Month, count: int):
     """str() of each of the count months from first, built without Month objects."""
     start = first.year * 12 + first.month - 1
-    return [f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(start, start + count)]
+    return (f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(start, start + count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +81,8 @@ class Panel:
 
     values[t, k] is member ids[k] in month start + t: a (months, members)
     array, the layout of the panel CSV, of finite floats over at least 2
-    months. A float64 array is kept as given, not copied, and made
-    read-only; any other input is converted to one once.
+    months that end by 9999-12. A float64 array is kept as given, not
+    copied, and made read-only; any other input is converted to one once.
     """
 
     ids: tuple[str, ...]
@@ -91,6 +102,8 @@ class Panel:
                 f"need a (months >= 2, {len(ids)} members) array of values, "
                 f"got shape {values.shape}"
             )
+        if Month(9999, 12) - self.start < len(values) - 1:
+            raise ContractError(f"a {len(values)}-month panel from {self.start} runs past 9999-12")
         if not np.isfinite(values).all():
             k, t = np.argwhere(~np.isfinite(values.T))[0]  # member by member
             raise ContractError(f"series '{ids[k]}': non-finite value at index {t}")
@@ -117,7 +130,7 @@ class FilterBand:
     upper: int
 
     def __post_init__(self):
-        if self.lower != int(self.lower) or self.upper != int(self.upper):
+        if not (is_integer(self.lower) and is_integer(self.upper)):
             raise ContractError("band cutoffs must be integers")
         if not 1 <= self.lower <= self.upper:
             raise ContractError(
@@ -188,7 +201,7 @@ class RecessionCalendar:
         month, one with peak < month <= trough for some episode."""
         mask = np.zeros(count, dtype=bool)
         for p, t in self.episodes:
-            mask[max(p + 1 - first, 0):max(t + 1 - first, 0)] = True
+            mask[max(p - first + 1, 0):max(t - first + 1, 0)] = True
         return mask
 
 
@@ -224,8 +237,9 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
         csv.reader and _bad_cell: one with a NUL or non-ASCII character, a
         quoted cell open at its line break or a field over csv's size limit."""
         nonlocal rows
-        before = first.year * 12 + first.month - 2  # the month before first
-        for rows, line in enumerate(lines, start=1):
+        # labels first, so a line past the last month, 9999-12, is left in lines
+        labels = month_labels(first, Month(9999, 12) - first + 1)
+        for rows, (date, line) in enumerate(zip(labels, lines), start=1):
             # an odd count of quotes may leave a quoted cell open at the line
             # break; a field's length is counted without its quotes
             if ("\0" in line or not line.isascii()
@@ -233,14 +247,14 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
                     or len(line) > limit and max(map(len, line.rstrip("\r\n")
                                                      .replace('"', "").split(","))) > limit):
                 raise ValueError("not a panel line np.loadtxt reads as csv.reader does")
-            k = before + rows
-            date = f"{k // 12:04d}-{k % 12 + 1:02d},"
-            if line[:8] == date:
+            if line[:8] == date + ",":
                 yield line[8:]
-            elif (m := _DATE_CELL.match(line)) and (m[1] or "") + m[2] == date[:7]:
+            elif (m := _DATE_CELL.match(line)) and (m[1] or "") + m[2] == date:
                 yield line[m.end():]
             else:
                 raise ValueError("a data line does not start with its month")
+        if next(lines, None) is not None:
+            raise ValueError("a data line past 9999-12")
 
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -252,8 +266,10 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
             first = Month.parse((next(csv.reader([line])) or [""])[0])
             # loadtxt refuses a row whose cell count differs from the first
             # row's, and skips a blank one, which the row count then shows
-            values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
-                                quotechar='"', comments=None, ndmin=2)
+            with warnings.catch_warnings():  # all blank is a shape fault too
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
+                                    quotechar='"', comments=None, ndmin=2)
         if values.shape == (rows, len(ids)) and rows >= 2 and np.isfinite(values).all():
             return ids, first, values
     except (ValueError, ContractError, csv.Error):  # UnicodeDecodeError is a ValueError
@@ -381,7 +397,7 @@ def write_panel_csv(panel: Panel, path) -> None:
         fh.write(csv_line(["date", *panel.ids]).encode())
         for start in range(0, panel.n, step):
             values = panel.values[start:start + step]
-            dates = csv_fields([(d,) for d in _month_labels(panel.month_at(start), len(values))])
+            dates = csv_fields([(d,) for d in month_labels(panel.month_at(start), len(values))])
             fh.write(csv_rows(dates, format_g12(values)))
 
 

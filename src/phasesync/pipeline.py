@@ -17,16 +17,23 @@ import numpy as np
 
 from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
-from .panel import FilterBand, Month, Panel, RecessionCalendar, periods_of_band, round_half_up
+from .panel import (FilterBand, Month, Panel, RecessionCalendar, month_labels,
+                    periods_of_band, round_half_up)
 from .spectral import AMPLITUDE_FLOOR, bandpass, detrend_linear, instantaneous_phase
 from .sync import check_window, lock_counts, score_pairs
+
+DEFAULT_THRESHOLDS = (0.7, 0.8)
+
+
+def r_label(r: float) -> str:
+    """Threshold r in every output that names it: six significant digits."""
+    return format(r, "g")
 
 
 def check_thresholds(values) -> tuple[float, ...]:
     """values as a tuple of floats, -0 stored as 0. Raises ContractError
     unless there is at least one, each lies in [0, 1], they strictly
-    increase and no two print alike as format(r, "g"), the label that
-    names their R column and metadata keys."""
+    increase and no two have the same r_label."""
     thresholds = tuple(float(r) + 0.0 for r in values)
     if not thresholds:
         raise ContractError("need at least one threshold")
@@ -36,9 +43,9 @@ def check_thresholds(values) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ContractError(f"thresholds must be strictly increasing, got {thresholds}")
     for a, b in zip(thresholds, thresholds[1:]):
-        if format(a, "g") == format(b, "g"):
+        if r_label(a) == r_label(b):
             raise ContractError(
-                f"thresholds {a!r} and {b!r} both print as {format(a, 'g')}: "
+                f"thresholds {a!r} and {b!r} both print as {r_label(a)}: "
                 f"thresholds must differ in their first 6 significant digits"
             )
     return thresholds
@@ -53,7 +60,7 @@ class PipelineConfig:
 
     band: FilterBand
     window: int
-    thresholds: tuple[float, ...] = (0.7, 0.8)
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     detrend: bool = True
     trim: bool = True
 
@@ -130,8 +137,8 @@ class ResultMeta:
 
     def sample_fields(self) -> list[tuple[str, str]]:
         """(t, date) of every sample, the leading fields of each CSV row."""
-        return [(str(self.t_of(idx)), str(self.month_of(idx)))
-                for idx in range(self.n_samples)]
+        return list(zip(map(str, range(self.t_of(0), self.t_of(self.n_samples))),
+                        month_labels(self.anchor, self.n_samples)))
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,8 @@ class SyncResult:
 
     pairs lists (id_i, id_j), i before j in panel order; row k of the
     read-only (pairs x samples) array gamma2 is pair k's windowed index.
-    gamma2 is None exactly when run_pipeline was given a sink, which got
-    the scores instead. ratios maps each threshold r to the R_t sequence.
+    gamma2 is None when run_pipeline was given a sink, which got the scores
+    instead, or sweep built the result. ratios maps each r to its R_t sequence.
     """
 
     gamma2: np.ndarray | None
@@ -182,7 +189,7 @@ class SyncResult:
         with open(path, "wb") as fh:
             fh.write(csv_line(["t", "date", "r", "R"]).encode())
             for r in self.meta.config.thresholds:
-                fh.write(csv_rows(samples, csv_fields([(format(r, "g"),)]),
+                fh.write(csv_rows(samples, csv_fields([(r_label(r),)]),
                                   format_g12(self.ratios[r])[:, None]))
 
     def write_ratio_wide_csv(self, path, labels: tuple[str, ...] | None = None) -> None:
@@ -192,7 +199,7 @@ class SyncResult:
             raise ContractError(
                 f"got {len(labels)} labels for {self.n_samples} samples"
             )
-        header = ["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
+        header = ["t", "date"] + [f"R_{r_label(r)}" for r in thresholds]
         blocks = [csv_fields(self.meta.sample_fields()),
                   format_g12(np.column_stack([self.ratios[r] for r in thresholds]))]
         if labels is not None:
@@ -211,7 +218,7 @@ class SyncResult:
             ("panel_start", str(self.meta.panel_start)),
             *band_items(self.meta.n_months, cfg.band),
             ("window", str(cfg.window)),
-            ("thresholds", ",".join(format(r, "g") for r in cfg.thresholds)),
+            ("thresholds", ",".join(map(r_label, cfg.thresholds))),
             ("detrend", str(cfg.detrend).lower()),
             ("trim", str(cfg.trim).lower()),
             ("amplitude_floor", format(AMPLITUDE_FLOOR, ".12g")),
@@ -266,12 +273,18 @@ def gamma_csv_sink(fh, meta: ResultMeta):
     return write_block
 
 
+def filter_column(column: np.ndarray, band: FilterBand, detrend: bool) -> np.ndarray:
+    """The series filter writes and sync phases: a contiguous copy of column
+    (its floats do not depend on memory order), detrended if asked, band-passed."""
+    x = np.ascontiguousarray(column)
+    return bandpass(detrend_linear(x) if detrend else x, band)
+
+
 def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
     """The (members, months - 2 x trim offset) phases of a panel.
 
-    Per series: optional linear detrend, band-pass, instantaneous phase,
-    then the trim offset of ResultMeta.of is dropped from each end. Each
-    member's column goes through them as a contiguous copy.
+    Per series: filter_column, instantaneous phase, then the trim offset
+    of ResultMeta.of is dropped from each end.
 
     Raises
     ------
@@ -284,10 +297,7 @@ def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
     phases = np.empty((len(panel), panel.n - 2 * m))
     for k, sid in enumerate(panel.ids):
         try:
-            x = np.ascontiguousarray(panel.values[:, k])
-            if config.detrend:
-                x = detrend_linear(x)
-            filtered = bandpass(x, config.band)
+            filtered = filter_column(panel.values[:, k], config.band, config.detrend)
             phases[k] = instantaneous_phase(filtered)[m:panel.n - m]
         except PhaseSyncError as exc:
             raise type(exc)(f"series '{sid}': {exc}") from exc

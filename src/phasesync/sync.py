@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
+from .panel import is_integer
 from .spectral import _as_series
 
 RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
@@ -24,7 +25,7 @@ RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
 def check_window(window) -> None:
     """Raise unless window is an odd integer >= 3."""
-    if window != int(window) or window < 3 or window % 2 == 0:
+    if not is_integer(window) or window < 3 or window % 2 == 0:
         raise ContractError(f"window must be an odd integer >= 3, got {window}")
 
 

@@ -137,31 +137,15 @@ def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
     theta[:, 0] = rng.uniform(-np.pi, np.pi, size=m)
     base_step = 2.0 * np.pi / spec.base_period
 
-    t = 1
-    seg_end = 0
-    shared = 0.0
-    detune = np.zeros(m)
+    offset = 0  # the segment's first month
     for length, regime in spec.segments:
-        seg_end += length
-        fresh = True
-        while t < seg_end:
-            if regime == "coupled":
-                if fresh:
-                    shared = rng.uniform(-1.0, 1.0)
-                    fresh = False
-                else:
-                    shared = float(_reflect(shared + DETUNE_WALK_STEP
-                                            * rng.uniform(-1.0, 1.0)))
-                theta[:, t] = theta[:, t - 1] + base_step * (1.0 + spec.jitter * shared)
-            else:
-                if fresh:
-                    detune = rng.uniform(-1.0, 1.0, size=m)
-                    fresh = False
-                else:
-                    detune = _reflect(detune + DETUNE_WALK_STEP
-                                      * rng.uniform(-1.0, 1.0, size=m))
-                theta[:, t] = theta[:, t - 1] + base_step * (1.0 + spec.jitter * detune)
-            t += 1
+        size = None if regime == "coupled" else m  # one shared detune, or one each
+        detune = None  # drawn fresh at the segment's first month t >= 1
+        for t in range(max(offset, 1), offset + length):
+            draw = rng.uniform(-1.0, 1.0, size=size)
+            detune = draw if detune is None else _reflect(detune + DETUNE_WALK_STEP * draw)
+            theta[:, t] = theta[:, t - 1] + base_step * (1.0 + spec.jitter * detune)
+        offset += length
 
     values = np.sin(theta)
     if spec.noise_sd > 0:

@@ -67,6 +67,16 @@ class TestGen:
         assert capsys.readouterr().err == "error: panel needs at least one series\n"
         assert not (tmp_path / "panel.csv").exists()
 
+    def test_panel_past_9999_12_is_clean_error(self, tmp_path, capsys):
+        assert run("gen", "--sine", "--n", 30, "--period", 12, "--members", 2,
+                   "--start", "9999-06", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: a 30-month panel from 9999-06 runs past 9999-12\n")
+        assert not (tmp_path / "panel.csv").exists()
+        assert run("gen", "--regime", "coupled:8", "--start", "9999-06",
+                   "--out", tmp_path) == 1
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_sine_requires_n(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("gen", "--sine", "--out", tmp_path)
@@ -280,6 +290,24 @@ class TestSync:
         assert ("thresholds 0.7 and 0.70000000000001 both print as 0.7: "
                 "thresholds must differ in their first 6 significant digits") in err
         assert list(out.iterdir()) == []
+
+    def test_threshold_has_one_label_in_every_output(self, regime_panel, tmp_path):
+        calendar = tmp_path / "cal.csv"
+        calendar.write_text("peak,trough\n1982-07,1983-11\n")
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--r", "1e-07", "--r", 0.5, "--calendar", calendar, "--out", out) == 0
+        assert read_rows(out / "ratios.csv")[0] == ["t", "date", "R_1e-07", "R_0.5", "regime"]
+        assert {row[2] for row in read_rows(out / "ratios_long.csv")[1:]} == {"1e-07", "0.5"}
+        meta = read_meta(out / "metadata.txt")
+        assert meta["thresholds"] == "1e-07,0.5"
+        assert {"mean_R_1e-07_contraction", "mean_R_1e-07_expansion"} <= meta.keys()
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--kl", 4, "--ku", 18, "--windows", "11,13",
+                   "--r", "1e-07", "--r", 0.5, "--out", out) == 0
+        assert read_rows(out / "ratios_W11.csv")[0] == ["t", "date", "R_1e-07", "R_0.5"]
+        assert [row[2] for row in read_rows(out / "stability.csv")[1:]] == ["1e-07", "0.5"]
+        assert read_meta(out / "metadata.txt")["thresholds"] == "1e-07,0.5"
 
     def test_nan_threshold_is_a_range_error(self, regime_panel, tmp_path, capsys):
         out = tmp_path / "sync"

@@ -79,6 +79,20 @@ class TestMonth:
         with pytest.raises(ContractError):
             Month(2000, 0)
 
+    def test_year_outside_what_yyyy_mm_writes(self):
+        assert str(Month(0, 1)) == "0000-01" and str(Month(9999, 12)) == "9999-12"
+        for year in (-1, 10000):
+            with pytest.raises(ContractError, match=f"year must be in 0..9999, got {year}"):
+                Month(year, 1)
+        with pytest.raises(ContractError, match="got 10000"):
+            Month(9999, 12) + 1
+
+    def test_panel_ends_by_9999_12(self):
+        assert make_panel(n=7, start=Month(9999, 6)).month_at(6) == Month(9999, 12)
+        with pytest.raises(ContractError,
+                           match="a 8-month panel from 9999-06 runs past 9999-12"):
+            make_panel(n=8, start=Month(9999, 6))
+
 
 class TestRoundHalfUp:
     @pytest.mark.parametrize("x,expected", [
@@ -155,7 +169,8 @@ class TestFilterBand:
         band = FilterBand(4, 18)
         band.validate_for(505)
 
-    @pytest.mark.parametrize("lower,upper", [(0, 5), (-1, 3), (6, 5)])
+    @pytest.mark.parametrize("lower,upper", [(0, 5), (-1, 3), (6, 5), (float("nan"), 5),
+                                             (float("inf"), 5), (1, float("inf"))])
     def test_invalid_range(self, lower, upper):
         with pytest.raises(ContractError):
             FilterBand(lower, upper)
@@ -313,6 +328,21 @@ class TestPanelCsv:
         path.write_text(f"date,a,b\n2000-01,1,2\n{cell},3,4\n2000-03,5,6\n",
                         encoding="utf-8")
         with pytest.raises(IngestionError, match="row 3: expected YYYY-MM date"):
+            load_panel_csv(path)
+
+    def test_month_past_9999_12_names_its_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,a\n9999-11,1\n9999-12,2\n10000-01,3\n")
+        with pytest.raises(IngestionError,
+                           match="row 4: expected YYYY-MM date, got '10000-01'"):
+            load_panel_csv(path)
+
+    def test_one_member_of_blank_cells_is_a_missing_value(self, tmp_path):
+        # np.loadtxt finds no data in the file; that warning (an error under
+        # this suite's filterwarnings) is not what the reader reports
+        path = tmp_path / "p.csv"
+        path.write_text("date,a\n2000-01,\n2000-02,\n")
+        with pytest.raises(IngestionError, match="row 2, column 'a': missing value$"):
             load_panel_csv(path)
 
     def test_shape_error_in_third_block_before_bad_cell_in_first(self, tmp_path):
@@ -513,6 +543,11 @@ class TestRecessionCalendar:
         assert not mask[9]                              # 1991-04
         assert mask.tolist() == [False] + [True] * 8 + [False]
         assert not cal.contraction_mask(Month(1985, 1), 1)[0]
+
+    def test_trough_in_the_last_month(self):
+        # no month after the trough, 9999-12, is built
+        cal = RecessionCalendar(((Month(9999, 9), Month(9999, 12)),))
+        assert cal.contraction_mask(Month(9999, 8), 5).tolist() == [False, False] + [True] * 3
 
     def test_ordering_enforced(self):
         with pytest.raises(ContractError):

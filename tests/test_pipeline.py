@@ -53,6 +53,7 @@ class TestPipelineConfig:
         {"thresholds": (0.8, 0.7)},
         {"thresholds": (0.7, 0.7)},
         {"thresholds": (1.5,)},
+        {"window": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):

@@ -93,7 +93,8 @@ class TestSyncIndexWindowed:
     def test_alignment_bookkeeping(self):
         assert len(sync_index_windowed(np.zeros(100), 13)) == 100 - 13 + 1
 
-    @pytest.mark.parametrize("window", [2, 4, 12, 1, 0, -3])
+    @pytest.mark.parametrize("window", [2, 4, 12, 1, 0, -3,
+                                        float("nan"), float("inf"), float("-inf")])
     def test_even_or_small_window_rejected(self, window):
         with pytest.raises(ContractError, match="odd"):
             sync_index_windowed(np.zeros(50), window)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestGenRegimePanel:
         a = gen_regime_panel(5, spec)
         b = gen_regime_panel(5, spec)
         np.testing.assert_array_equal(a.values, b.values)
+
+    # SHA-256 of the values bytes as the documented draw order gives them:
+    # a first segment of one month draws no detune, a second of one month
+    # draws once
+    @pytest.mark.parametrize("segments, digest", [
+        (((25, "coupled"), (20, "uncoupled"), (15, "coupled")),
+         "9b1a0cc5bef5a9dc287707c3abe4f961b31fb82a50164c646425c331c662b3d4"),
+        (((1, "coupled"), (1, "uncoupled"), (30, "coupled")),
+         "9a364e5d2a323462563596e8b2b50122dd6c78626e0f2f4b08d6c5b89cb02d11"),
+    ])
+    def test_values_bit_for_bit(self, segments, digest):
+        panel = gen_regime_panel(4, RegimeSpec(segments=segments, seed=11))
+        assert hashlib.sha256(panel.values.tobytes()).hexdigest() == digest
 
     def test_seed_changes_output(self):
         base = RegimeSpec(segments=((40, "uncoupled"),), seed=1)
