@@ -159,40 +159,33 @@ def cmd_sync(args, out: _OutputTracker) -> None:
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))
     write_metadata(out.target("metadata.txt"),
-                   _header_items(args) + result.meta_items() + regime_items)
+                   _header_items(args) + meta.items() + regime_items)
 
 
-def _parse_windows(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ContractError(f"--windows expects comma-separated integers, got {text!r}") from None
-    if len(values) < 2:
-        raise ContractError("--windows needs at least two values to compare")
-    repeated = first_repeated(values)
-    if repeated is not None:
-        raise ContractError(f"--windows repeats the window {repeated}")
+def _list_flag(flag: str, text: str, convert, form: str) -> list:
+    """Each comma-separated part of a list flag's text, converted. A part
+    convert refuses is a ContractError naming the flag and the part: with
+    convert's own ContractError, or, for any other ValueError, the form
+    the flag expects."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(convert(part))
+        except ContractError as exc:
+            raise ContractError(f"{flag} part {part!r}: {exc}") from None
+        except ValueError:
+            raise ContractError(f"{flag} expects comma-separated {form}, got {part!r}") from None
     return values
 
 
-def _parse_bands(text: str) -> tuple[FilterBand, ...]:
-    bands = []
-    for part in text.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ContractError(
-                f"--bands expects comma-separated lower:upper pairs, got {part!r}"
-            )
-        try:
-            bands.append(FilterBand(int(pieces[0]), int(pieces[1])))
-        except ValueError:
-            raise ContractError(f"bad band {part!r}: cutoffs must be integers") from None
-    if len(bands) < 2:
-        raise ContractError("--bands needs at least two values to compare")
-    repeated = first_repeated(bands)
-    if repeated is not None:
-        raise ContractError(f"--bands repeats the band {repeated.lower}:{repeated.upper}")
-    return tuple(bands)
+def _band(part: str) -> FilterBand:
+    lower, upper = part.split(":")
+    return FilterBand(int(lower), int(upper))
+
+
+def _segment(part: str) -> tuple[int, str]:
+    regime, length = part.split(":")
+    return int(length), regime
 
 
 def cmd_sweep(args, out: _OutputTracker) -> None:
@@ -205,41 +198,50 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
             raise ContractError(f"--{flag} does not apply to a --bands sweep")
     if args.bands is not None and args.window is None:
         raise ContractError("--bands sweep needs --window")
-    windows = _parse_windows(args.windows) if args.windows is not None else None
-    bands = _parse_bands(args.bands) if args.bands is not None else None
+    if args.windows is not None:
+        flag, settings = "--windows", _list_flag("--windows", args.windows, int, "integers")
+        names = [f"window {w}" for w in settings]
+    else:
+        flag, settings = "--bands", _list_flag("--bands", args.bands, _band, "lower:upper pairs")
+        names = [f"band {band.lower}:{band.upper}" for band in settings]
+    if len(settings) < 2:
+        raise ContractError(f"{flag} needs at least two values to compare")
+    repeated = first_repeated(names)
+    if repeated is not None:
+        raise ContractError(f"{flag} repeats the {repeated}")
     panel = load_panel_csv(args.input)
     thresholds = _thresholds(args)
 
     # the axis held fixed is recorded in the metadata
-    if windows is not None:
+    if args.windows is not None:
         band = _resolve_band(args, panel.n)
-        configs = {f"W{w}": _config(args, band, w) for w in windows}
+        configs = {f"W{w}": _config(args, band, w) for w in settings}
         fixed_items = band_items(panel.n, band)
     else:
         configs = {f"kl{band.lower}_ku{band.upper}": _config(args, band, args.window)
-                   for band in bands}
+                   for band in settings}
         fixed_items = [("window", str(args.window))]
     metas = {label: ResultMeta.of(panel, config) for label, config in configs.items()}
 
     phased = {}  # band -> phases: a --windows sweep filters once
-    kept = []  # (label, first month, thresholds x samples R)
+    kept = {}  # label -> (thresholds x samples) R
     for label, meta in metas.items():
         config = meta.config
         if config.band not in phased:
             phased[config.band] = panel_phases(panel, config)
-        ratios = score_pairs(phased[config.band], config.window, thresholds)
-        SyncResult(gamma2=None, ratios=dict(zip(thresholds, ratios)),
+        kept[label] = score_pairs(phased[config.band], config.window, thresholds)
+        SyncResult(gamma2=None, ratios=dict(zip(thresholds, kept[label])),
                    meta=meta).write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
-        kept.append((label, meta.anchor, ratios))
 
-    # common support: months covered by every setting (trim and window vary);
-    # each setting's samples are consecutive months from its first month
-    first = max(month for _, month, _ in kept)
-    last = min(month + (ratios.shape[1] - 1) for _, month, ratios in kept)
-    if last < first:
-        raise ContractError("sweep settings share no common months")
-    common = [(label, ratios[:, first - month:last - month + 1])
-              for label, month, ratios in kept]
+    # common support: the months every setting has a sample in. A sweep varies
+    # the trim (--bands) or the window (--windows), never both, so the settings'
+    # sample months nest around the panel's middle and the common ones are
+    # those of the widest trim or window: n - 2 trim - W + 1 >= 1 months, as
+    # ResultMeta.of has checked
+    first = max(meta.anchor for meta in metas.values())
+    last = min(meta.month_of(meta.n_samples - 1) for meta in metas.values())
+    common = [(label, kept[label][:, first - meta.anchor:last - meta.anchor + 1])
+              for label, meta in metas.items()]
 
     fields, pearsons = [], []
     for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
@@ -268,36 +270,6 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
     write_metadata(out.target("metadata.txt"), items)
 
 
-def _parse_float_list(text: str, flag: str, count: int) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ContractError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if len(values) == 1:
-        return values * count
-    if len(values) != count:
-        raise ContractError(
-            f"{flag} got {len(values)} values for {count} members"
-        )
-    return values
-
-
-def _parse_segments(text: str) -> tuple[tuple[int, str], ...]:
-    segments = []
-    for part in text.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ContractError(
-                f"--regime expects comma-separated regime:length parts, got {part!r}"
-            )
-        regime, length = pieces
-        try:
-            segments.append((int(length), regime))
-        except ValueError:
-            raise ContractError(f"bad segment length in {part!r}") from None
-    return tuple(segments)
-
-
 def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
     if args.sine and args.regime is not None:
         parser.error("give only one of --sine or --regime")
@@ -308,8 +280,13 @@ def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
         if args.n is None:
             parser.error("--sine requires --n")
         members = args.members
-        amplitudes = _parse_float_list(args.amp, "--amp", members)
-        offsets = _parse_float_list(args.phase, "--phase", members)
+        per_member = []  # amplitudes, then offsets: one value per member, or one shared
+        for flag, text in (("--amp", args.amp), ("--phase", args.phase)):
+            values = _list_flag(flag, text, float, "numbers")
+            if len(values) not in (1, members):
+                raise ContractError(f"{flag} got {len(values)} values for {members} members")
+            per_member.append(values * members if len(values) == 1 else values)
+        amplitudes, offsets = per_member
         width = max(1, len(str(members)))
         ids = [f"s{i + 1:0{width}d}" for i in range(members)]
         columns = [gen_sine(args.n, args.period, amp, offset)
@@ -318,7 +295,7 @@ def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
         panel = Panel(ids, start, np.transpose(columns))
     else:
         spec = RegimeSpec(
-            segments=_parse_segments(args.regime),
+            segments=_list_flag("--regime", args.regime, _segment, "regime:length parts"),
             base_period=args.base_period,
             jitter=args.jitter,
             noise_sd=args.noise_sd,

@@ -156,7 +156,8 @@ def band_from_periods(n: int, longest: float, shortest: float) -> FilterBand:
     """Derive mode cutoffs from period bounds.
 
     Inverse of :func:`periods_of_band` up to rounding: cutoffs are
-    round-half-up of N/period, clamped to [1, floor(N/2)].
+    round-half-up of N/period, clamped to [1, floor(N/2)]. Each step is
+    monotone, so longest >= shortest gives lower <= upper.
     """
     if not 2 <= shortest <= longest <= n:
         raise ContractError(
@@ -166,10 +167,6 @@ def band_from_periods(n: int, longest: float, shortest: float) -> FilterBand:
     half = n // 2
     lower = min(max(round_half_up(n / longest), 1), half)
     upper = min(max(round_half_up(n / shortest), 1), half)
-    if lower > upper:
-        raise ContractError(
-            f"periods ({longest}, {shortest}) collapse to an empty band for N={n}"
-        )
     return FilterBand(lower, upper)
 
 
@@ -215,13 +212,14 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
     """(ids, first month, values) of the panel CSV at path, values a fresh
     writable (months, members) float64 array.
 
-    Dates must be YYYY-MM and strictly consecutive months. Every cell must
-    be a finite number written in ASCII, without '_' or a line break;
-    spaces and the ASCII separators \\x1c-\\x1f around it are ignored. Cells
-    and dates may be quoted. Errors name the offending row (1-based,
-    header = row 1) and column. Problems with a row's shape (its cell
-    count or its date) are reported before any bad cell value, whichever
-    row holds it; among bad cells, the first in file order is reported.
+    A leading UTF-8 byte-order mark is skipped. Dates must be YYYY-MM and
+    strictly consecutive months. Every cell must be a finite number
+    written in ASCII, without '_' or a line break; spaces and the ASCII
+    separators \\x1c-\\x1f around it are ignored. Cells and dates may be
+    quoted. Errors name the offending row (1-based, header = row 1) and
+    column. Problems with a row's shape (its cell count or its date) are
+    reported before any bad cell value, whichever row holds it; among bad
+    cells, the first in file order is reported.
 
     np.loadtxt reads the values in one pass: it splits a line at commas
     outside quotes as csv.reader does, and takes the cells _bad_cell takes.
@@ -257,7 +255,7 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
             raise ValueError("a data line past 9999-12")
 
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             ids = next(csv.reader(fh), [])
             if _header_fault(ids) is not None:
                 raise ValueError("no panel header")
@@ -333,9 +331,10 @@ def _fault(path) -> IngestionError:
 
 @contextmanager
 def _csv_reader(path):
-    """A csv.reader over the UTF-8 file at path. A field over csv's size limit
-    and a line that is not UTF-8 raise IngestionError naming the line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """A csv.reader over the UTF-8 file at path, a leading byte-order mark
+    skipped. A field over csv's size limit and a line that is not UTF-8
+    raise IngestionError naming the line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -402,11 +401,14 @@ def write_panel_csv(panel: Panel, path) -> None:
 
 
 def load_recession_csv(path) -> RecessionCalendar:
-    """Read reference dates from CSV with header ``peak,trough`` and YYYY-MM values."""
+    """Read reference dates from CSV with header ``peak,trough``, YYYY-MM
+    values and at least one episode; a leading byte-order mark is skipped."""
     with _csv_reader(path) as reader:
         rows = list(reader)
     if not rows or rows[0] != ["peak", "trough"]:
         raise IngestionError(f"{path}: header must be exactly 'peak,trough'")
+    if len(rows) == 1:
+        raise IngestionError(f"{path}: no episodes after the header")
     episodes = []
     for rownum, row in enumerate(rows[1:], start=2):
         if len(row) != 2:

@@ -107,6 +107,16 @@ class ResultMeta:
         return len(self.ids)
 
     @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """(id_i, id_j) of every pair, i before j in panel order: the order
+        of combinations(ids, 2), in which score_pairs sends the scores."""
+        return tuple(combinations(self.ids, 2))
+
+    @property
+    def n_pairs(self) -> int:
+        return self.n_series * (self.n_series - 1) // 2
+
+    @property
     def anchor(self) -> Month:
         """Calendar month of the first windowed index sample."""
         return self.panel_start + self.trim_offset + (self.config.window - 1) // 2
@@ -140,13 +150,33 @@ class ResultMeta:
         return list(zip(map(str, range(self.t_of(0), self.t_of(self.n_samples))),
                         month_labels(self.anchor, self.n_samples)))
 
+    def items(self) -> list[tuple[str, str]]:
+        """Key-value pairs describing this run, for the metadata sidecar."""
+        cfg = self.config
+        return [
+            ("n_series", str(self.n_series)),
+            ("n_months", str(self.n_months)),
+            ("panel_start", str(self.panel_start)),
+            *band_items(self.n_months, cfg.band),
+            ("window", str(cfg.window)),
+            ("thresholds", ",".join(map(r_label, cfg.thresholds))),
+            ("detrend", str(cfg.detrend).lower()),
+            ("trim", str(cfg.trim).lower()),
+            ("amplitude_floor", format(AMPLITUDE_FLOOR, ".12g")),
+            ("trim_offset", str(self.trim_offset)),
+            ("first_sample_t", str(self.t_of(0))),
+            ("first_sample_date", str(self.anchor)),
+            ("n_pairs", str(self.n_pairs)),
+            ("n_samples", str(self.n_samples)),
+        ]
+
 
 @dataclass(frozen=True)
 class SyncResult:
     """All-pairs synchronization output.
 
-    pairs lists (id_i, id_j), i before j in panel order; row k of the
-    read-only (pairs x samples) array gamma2 is pair k's windowed index.
+    pairs, n_pairs and n_samples are meta's; row k of the read-only
+    (pairs x samples) array gamma2 is pair k's windowed index.
     gamma2 is None when run_pipeline was given a sink, which got the scores
     instead, or sweep built the result. ratios maps each r to its R_t sequence.
     """
@@ -161,27 +191,15 @@ class SyncResult:
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(combinations(self.meta.ids, 2))
+        return self.meta.pairs
 
     @property
     def n_pairs(self) -> int:
-        return self.meta.n_series * (self.meta.n_series - 1) // 2
+        return self.meta.n_pairs
 
     @property
     def n_samples(self) -> int:
         return self.meta.n_samples
-
-    @property
-    def window(self) -> int:
-        return self.meta.config.window
-
-    def t_of(self, idx: int) -> int:
-        """1-indexed centered position of sample idx in the trimmed series."""
-        return self.meta.t_of(idx)
-
-    def month_of(self, idx: int) -> Month:
-        """Calendar month at which sample idx is centered."""
-        return self.meta.month_of(idx)
 
     def write_ratio_long_csv(self, path) -> None:
         """Long format: t,date,r,R."""
@@ -208,26 +226,6 @@ class SyncResult:
         with open(path, "wb") as fh:
             fh.write(csv_line(header).encode())
             fh.write(csv_rows(*blocks))
-
-    def meta_items(self) -> list[tuple[str, str]]:
-        """Key-value pairs describing this run, for the metadata sidecar."""
-        cfg = self.meta.config
-        return [
-            ("n_series", str(self.meta.n_series)),
-            ("n_months", str(self.meta.n_months)),
-            ("panel_start", str(self.meta.panel_start)),
-            *band_items(self.meta.n_months, cfg.band),
-            ("window", str(cfg.window)),
-            ("thresholds", ",".join(map(r_label, cfg.thresholds))),
-            ("detrend", str(cfg.detrend).lower()),
-            ("trim", str(cfg.trim).lower()),
-            ("amplitude_floor", format(AMPLITUDE_FLOOR, ".12g")),
-            ("trim_offset", str(self.meta.trim_offset)),
-            ("first_sample_t", str(self.t_of(0))),
-            ("first_sample_date", str(self.meta.anchor)),
-            ("n_pairs", str(self.n_pairs)),
-            ("n_samples", str(self.n_samples)),
-        ]
 
 
 def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
@@ -256,11 +254,10 @@ def gamma_csv_sink(fh, meta: ResultMeta):
     binary file fh and return a score_pairs sink that writes the rows of
     each block it gets, a few thousand values at a time.
 
-    Block rows are matched to the pairs of meta.ids in combinations order,
-    the order score_pairs sends them in.
+    Block rows are matched to meta.pairs, the order score_pairs sends them in.
     """
     samples = csv_fields(meta.sample_fields())
-    pairs = combinations(meta.ids, 2)
+    pairs = iter(meta.pairs)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
     fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]).encode())
 
@@ -318,7 +315,7 @@ def run_pipeline(panel: Panel, config: PipelineConfig, sink=None) -> SyncResult:
     phases = panel_phases(panel, config)
     gamma2 = None
     if sink is None:
-        gamma2 = np.empty((len(panel) * (len(panel) - 1) // 2, meta.n_samples))
+        gamma2 = np.empty((meta.n_pairs, meta.n_samples))
         start = 0
 
         def sink(block: np.ndarray) -> None:

@@ -83,7 +83,7 @@ def direct_coefficients(x):
 
 
 def common_month_indices(results):
-    maps = [{res.month_of(i): i for i in range(res.n_samples)} for res in results]
+    maps = [{res.meta.month_of(i): i for i in range(res.n_samples)} for res in results]
     common = sorted(set(maps[0]).intersection(*maps[1:]))
     return [[m[month] for month in common] for m in maps]
 
@@ -223,7 +223,7 @@ def test_criterion_08_regime_contrast(regime_panel):
                           PipelineConfig(band=BAND, window=25, thresholds=(0.8,)))
     ratio = result.ratios[0.8]
     labels = np.array([
-        REGIME_SPEC.regime_at(result.month_of(i) - regime_panel.start)
+        REGIME_SPEC.regime_at(result.meta.month_of(i) - regime_panel.start)
         for i in range(result.n_samples)
     ])
     coupled_mean = ratio[labels == "coupled"].mean()

@@ -112,6 +112,11 @@ class TestGen:
         (("--regime", "coupled:60", "--jitter", "nan"), "jitter >= 0, got nan"),
         (("--sine", "--n", 48, "--period", "nan"), "period >= 2, got nan"),
         (("--sine", "--n", 48, "--amp", "nan"), "finite amplitude, got nan"),
+        (("--sine", "--n", 20, "--amp", "1,x"), "--amp expects comma-separated numbers, got 'x'"),
+        (("--sine", "--n", 20, "--amp", "1,2"), "--amp got 2 values for 3 members"),
+        (("--regime", "coupled:x"),
+         "--regime expects comma-separated regime:length parts, got 'coupled:x'"),
+        (("--regime", "coupled:1"), "total panel length must be >= 2"),
     ])
     def test_unusable_generator_parameter_is_clean_error(self, tmp_path, capsys,
                                                          argv, message):
@@ -252,6 +257,16 @@ class TestSync:
                    "--window", 13, "--out", tmp_path / "sync") == 1
         assert "need >= 2 series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--kl", 4), "--kl and --ku must be given together"),
+        (("--longest", 90), "--longest and --shortest must be given together"),
+    ], ids=["kl", "longest"])
+    def test_band_flag_without_its_pair(self, regime_panel, tmp_path, capsys, flags, message):
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, *flags, "--window", 13, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_band_out_of_range(self, regime_panel, tmp_path, capsys):
         assert run("sync", regime_panel, "--kl", 4, "--ku", 500,
                    "--window", 13, "--out", tmp_path / "sync") == 1
@@ -358,7 +373,11 @@ class TestStreamedSync:
     @pytest.mark.parametrize("calendar_text, message", [
         (None, "No such file"),
         ("peak,trough\n1950-01,1951-01\n", "calendar episodes are disjoint"),
-    ], ids=["missing", "disjoint"])
+        ("peak,trough\n", "cal.csv: no episodes after the header"),
+        ("peak,trough\n1990-07,1991-03,x\n", "row 2: expected 2 cells, got 3"),
+        ("peak,trough\n1990-07,1991-03\n1991-01,1992-01\n",
+         "episode starting 1991-01 overlaps previous trough 1991-03"),
+    ], ids=["missing", "disjoint", "empty", "three-cells", "overlap"])
     def test_bad_calendar_fails_before_scoring(self, regime_panel, tmp_path, capsys,
                                                monkeypatch, kernel_calls, calendar_text,
                                                message):
@@ -511,7 +530,17 @@ class TestSweep:
     @pytest.mark.parametrize("axis, message", [
         (("--kl", 4, "--ku", 18, "--windows", "11,13,11"), "--windows repeats the window 11"),
         (("--bands", "4:18,5:17,04:18", "--window", 13), "--bands repeats the band 4:18"),
-    ], ids=["windows", "bands"])
+        (("--kl", 4, "--ku", 18, "--windows", "11,x"),
+         "--windows expects comma-separated integers, got 'x'"),
+        (("--bands", "4-18,5:17", "--window", 13),
+         "--bands expects comma-separated lower:upper pairs, got '4-18'"),
+        (("--bands", "4:18", "--window", 13), "--bands needs at least two values to compare"),
+        (("--bands", "0:18,4:18", "--window", 13),
+         "--bands part '0:18': need 1 <= lower <= upper, got (0, 18)"),
+        (("--bands", "18:4,4:18", "--window", 13),
+         "--bands part '18:4': need 1 <= lower <= upper, got (18, 4)"),
+    ], ids=["windows", "bands", "windows-not-integer", "bands-not-a-pair", "one-band",
+            "band-below-1", "band-inverted"])
     def test_repeated_setting_rejected_before_panel_is_read(self, tmp_path, capsys,
                                                             axis, message):
         # the input does not exist, so only a check made before the load can answer

@@ -48,7 +48,7 @@ def result():
 
 
 def sample_fields(result, idx):
-    return [result.t_of(idx), str(result.month_of(idx))]
+    return [result.meta.t_of(idx), str(result.meta.month_of(idx))]
 
 
 @pytest.mark.parametrize("sid", IDS + ("",))
@@ -158,7 +158,7 @@ def test_sweep_stability_bytes(tmp_path):
     panel = load_panel_csv(panel_path)
     results = [(f"W{w}", run_pipeline(panel, PipelineConfig(band=FilterBand(4, 18), window=w)))
                for w in (11, 13, 15)]
-    months = [{res.month_of(i): i for i in range(res.n_samples)} for _, res in results]
+    months = [{res.meta.month_of(i): i for i in range(res.n_samples)} for _, res in results]
     common = sorted(set(months[0]).intersection(*months[1:]))
     expected = [["setting_a", "setting_b", "r", "pearson"]]
     for i in range(len(results)):

@@ -220,6 +220,14 @@ class TestBandFromPeriods:
         with pytest.raises(ContractError):
             band_from_periods(n, longest, shortest)
 
+    # each step from a period to its cutoff is monotone, so the band is never empty
+    @given(st.integers(4, 5000), st.floats(0, 1), st.floats(0, 1))
+    def test_valid_periods_give_a_band(self, n, a, b):
+        shortest = 2 + (n - 2) * min(a, b)
+        longest = 2 + (n - 2) * max(a, b)
+        band = band_from_periods(n, longest, shortest)
+        assert 1 <= band.lower <= band.upper <= n // 2
+
     @pytest.mark.parametrize("n", [100, 488, 505])
     def test_round_trip_with_periods(self, n):
         for lower in (1, 3, 7):
@@ -275,6 +283,7 @@ class TestPanelCsv:
         ("date,b,a,a,b", "duplicate column id 'b'"),
         ("date,a,,a", "duplicate column id 'a'"),
         ("date,,a,a", "blank column id"),
+        ("date", "no series columns after 'date'"),
     ])
     def test_first_header_problem_in_header_order(self, tmp_path, header, message):
         path = tmp_path / "p.csv"
@@ -455,6 +464,29 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match="header"):
             load_panel_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"")
+        with pytest.raises(IngestionError, match=r"p\.csv: empty file$"):
+            load_panel_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_panel_csv(make_panel(n=30, members=3, seed=2), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, panel = load_panel_csv(plain), load_panel_csv(marked)
+        assert (panel.ids, panel.start) == (expected.ids, expected.start)
+        np.testing.assert_array_equal(panel.values, expected.values)
+
+    def test_byte_order_mark_before_a_fault(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("date,a,b\n2000-01,1,2\n2000-02,3,oops\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, marked):
+            with pytest.raises(IngestionError, match=r"row 3, column 'b': non-numeric"):
+                load_panel_csv(path)
+
     def test_one_row_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,a\n2000-01,1\n")
@@ -569,6 +601,12 @@ class TestRecessionCalendar:
         assert not overlaps(Month(1980, 1), Month(1990, 7))
         assert not overlaps(Month(1991, 4), Month(1999, 1))
 
+    def test_loader_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        with open("data/us_recessions.csv", "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert load_recession_csv(path) == load_recession_csv("data/us_recessions.csv")
+
     def test_load_shipped_calendars(self):
         us = load_recession_csv("data/us_recessions.csv")
         assert len(us.episodes) == 6
@@ -586,6 +624,10 @@ class TestRecessionCalendar:
         bad_date.write_text("peak,trough\n1990-7,1991-03\n")
         with pytest.raises(IngestionError, match="row 2"):
             load_recession_csv(bad_date)
+        no_episodes = tmp_path / "c.csv"
+        no_episodes.write_text("peak,trough\n")
+        with pytest.raises(IngestionError, match=r"c\.csv: no episodes after the header$"):
+            load_recession_csv(no_episodes)
 
     @pytest.mark.parametrize("cell", ['"1990-07\n"', "\u0661\u0669\u0669\u0660-\u0660\u0667"])
     def test_loader_rejects_date_that_is_not_yyyy_mm(self, tmp_path, cell):

@@ -95,13 +95,14 @@ class TestPipelineConfig:
         panel = small_panel(3)
         as_int = run_pipeline(panel, PipelineConfig(band=BAND, window=13))
         as_float = run_pipeline(panel, PipelineConfig(band=BAND, window=13.0))
-        assert as_float.window == 13 and type(as_float.window) is int
+        window = as_float.meta.config.window
+        assert window == 13 and type(window) is int
         np.testing.assert_array_equal(as_float.gamma2, as_int.gamma2)
         for r in as_int.ratios:
             np.testing.assert_array_equal(as_float.ratios[r], as_int.ratios[r])
-        write_metadata(tmp_path / "metadata.txt", as_float.meta_items())
+        write_metadata(tmp_path / "metadata.txt", as_float.meta.items())
         assert "window = 13\n" in (tmp_path / "metadata.txt").read_text()
-        assert as_float.meta_items() == as_int.meta_items()
+        assert as_float.meta.items() == as_int.meta.items()
 
 
 class TestRunPipeline:
@@ -159,15 +160,15 @@ class TestRunPipeline:
         margin = round_half_up(240 / 18)
         assert result.meta.trim_offset == margin
         assert result.n_samples == (240 - 2 * margin) - 13 + 1
-        assert result.t_of(0) == 7
-        assert result.month_of(0) == Month(1980, 1) + margin + 6
+        assert result.meta.t_of(0) == 7
+        assert result.meta.month_of(0) == Month(1980, 1) + margin + 6
 
     def test_no_trim(self):
         panel = small_panel(3, n=240)
         result = run_pipeline(panel, PipelineConfig(band=BAND, window=13, trim=False))
         assert result.meta.trim_offset == 0
         assert result.n_samples == 240 - 13 + 1
-        assert result.month_of(0) == Month(1980, 7)
+        assert result.meta.month_of(0) == Month(1980, 7)
 
     def test_ratio_monotone_in_threshold(self):
         config = PipelineConfig(band=BAND, window=13,
@@ -300,7 +301,7 @@ class TestAnnotateRecessions:
     def test_labels(self):
         result = self.result()
         mask = result.meta.contraction_mask(self.CAL)
-        by_month = {result.month_of(idx): bool(c) for idx, c in enumerate(mask)}
+        by_month = {result.meta.month_of(idx): bool(c) for idx, c in enumerate(mask)}
         assert by_month[Month(1990, 8)]
         assert by_month[Month(1991, 3)]
         assert not by_month[Month(1990, 7)]   # peak month
@@ -311,7 +312,7 @@ class TestAnnotateRecessions:
         result = self.result()
         mask = result.meta.contraction_mask(self.CAL)
         for ratio in result.ratios.values():
-            months = [result.month_of(idx) for idx in range(result.n_samples)]
+            months = [result.meta.month_of(idx) for idx in range(result.n_samples)]
             contraction = [R for R, m in zip(ratio, months)
                            if Month(1990, 7) < m <= Month(1991, 3)]
             expansion = [R for R, m in zip(ratio, months)
@@ -328,7 +329,7 @@ class TestAnnotateRecessions:
     def test_rows_iterate_in_order(self):
         result = self.result()
         mask = result.meta.contraction_mask(self.CAL)
-        assert mask.tolist() == [Month(1990, 7) < result.month_of(idx) <= Month(1991, 3)
+        assert mask.tolist() == [Month(1990, 7) < result.meta.month_of(idx) <= Month(1991, 3)
                                  for idx in range(result.n_samples)]
 
 
@@ -348,8 +349,8 @@ class TestResultOutputs:
         pairs = {(row[2], row[3]) for row in rows[1:]}
         assert pairs == set(result.pairs)
         first = rows[1]
-        assert int(first[0]) == result.t_of(0)
-        assert first[1] == str(result.month_of(0))
+        assert int(first[0]) == result.meta.t_of(0)
+        assert first[1] == str(result.meta.month_of(0))
         assert float(first[4]) == pytest.approx(
             result.gamma2[result.pairs.index(("m01", "m02")), 0], rel=1e-11)
 
@@ -384,7 +385,7 @@ class TestResultOutputs:
             result.write_ratio_wide_csv(tmp_path / "r.csv", ("expansion",))
 
     def test_meta_items_and_sidecar(self, result, tmp_path):
-        items = result.meta_items()
+        items = result.meta.items()
         as_dict = dict(items)
         assert as_dict["n_series"] == "3"
         assert as_dict["n_months"] == "120"
