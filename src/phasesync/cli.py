@@ -10,7 +10,6 @@ already written are removed so a partial run never looks complete.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -48,14 +47,25 @@ from .sync import score_pairs
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 
+_INPUT_FLAGS = ("input", "calendar")
+
+
 def _header_items(args) -> list[tuple[str, str]]:
-    """The items that open every metadata.txt: command, input path and its SHA-256."""
-    digest = hashlib.sha256()
-    with open(args.input, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return [("command", args.command), ("input", str(args.input)),
-            ("input_sha256", digest.hexdigest())]
+    """The items that open every metadata.txt: command, then the input and
+    a sync --calendar, each path followed by its SHA-256."""
+    # OpenSSL adds about 3.5 MB resident; loaded after the arrays are freed, it stays off the peak
+    import hashlib
+
+    items = [("command", args.command)]
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is not None:
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(65536), b""):
+                    digest.update(chunk)
+            items += [(flag, str(path)), (f"{flag}_sha256", digest.hexdigest())]
+    return items
 
 
 def _resolve_band(args, n: int) -> FilterBand:
@@ -113,28 +123,27 @@ class _OutputTracker:
                 pass
 
 
-def cmd_filter(args, out: _OutputTracker) -> None:
-    """Band-pass every member of the input panel into filtered.csv.
+def cmd_filter(args, out: _OutputTracker) -> list[tuple[str, str]]:
+    """Band-pass every member of the input panel into filtered.csv and
+    return the run's metadata items.
 
     The panel is read as one writable array and each member's column is
-    replaced by its filter_column, so only one copy of the panel is held;
-    the metadata items, which hash the input file, are taken first.
+    replaced by its filter_column, so only one copy of the panel is held.
     """
     ids, first, values = read_panel_csv(args.input)
     n = len(values)
     band = _resolve_band(args, n)
-    items = _header_items(args) + [
+    for k in range(len(ids)):
+        values[:, k] = filter_column(values[:, k], band, args.detrend)
+    write_panel_csv(Panel(ids, first, values), out.target("filtered.csv"))
+    return [
         ("n_series", str(len(ids))),
         ("n_months", str(n)),
         ("detrend", str(args.detrend).lower()),
     ] + band_items(n, band)
-    for k in range(len(ids)):
-        values[:, k] = filter_column(values[:, k], band, args.detrend)
-    write_panel_csv(Panel(ids, first, values), out.target("filtered.csv"))
-    write_metadata(out.target("metadata.txt"), items)
 
 
-def cmd_sync(args, out: _OutputTracker) -> None:
+def cmd_sync(args, out: _OutputTracker) -> list[tuple[str, str]]:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
     meta = ResultMeta.of(panel, config)
@@ -158,8 +167,7 @@ def cmd_sync(args, out: _OutputTracker) -> None:
 
     result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
     result.write_ratio_long_csv(out.target("ratios_long.csv"))
-    write_metadata(out.target("metadata.txt"),
-                   _header_items(args) + meta.items() + regime_items)
+    return meta.items() + regime_items
 
 
 def _list_flag(flag: str, text: str, convert, form: str) -> list:
@@ -188,7 +196,7 @@ def _segment(part: str) -> tuple[int, str]:
     return int(length), regime
 
 
-def cmd_sweep(args, out: _OutputTracker) -> None:
+def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     if (args.windows is None) == (args.bands is None):
         raise ContractError("give exactly one of --windows or --bands")
     if args.windows is not None and args.window is not None:
@@ -255,7 +263,7 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
         fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]).encode())
         fh.write(csv_rows(csv_fields(fields), format_g12(pearsons)[:, None]))
 
-    items = _header_items(args) + [
+    return [
         ("n_series", str(len(panel))),
         ("n_months", str(panel.n)),
         ("settings", ",".join(metas)),
@@ -267,7 +275,6 @@ def cmd_sweep(args, out: _OutputTracker) -> None:
         ("common_first", str(first)),
         ("common_last", str(last)),
     ]
-    write_metadata(out.target("metadata.txt"), items)
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
@@ -374,18 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = [getattr(args, flag, None) for flag in ("input", "calendar")]
-    out = _OutputTracker(Path(args.out), [p for p in inputs if p is not None])
+    inputs = [p for p in (getattr(args, flag, None) for flag in _INPUT_FLAGS) if p is not None]
+    out = _OutputTracker(Path(args.out), inputs)
     try:
+        for path in map(Path, inputs):
+            # a pipe would be drained by the load and then hash as no bytes;
+            # a missing file is left for the load to report
+            if path.exists() and not path.is_file():
+                raise ContractError(f"input {path} is not a regular file: it is read twice")
         out.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "filter":
-            cmd_filter(args, out)
-        elif args.command == "sync":
-            cmd_sync(args, out)
-        elif args.command == "sweep":
-            cmd_sweep(args, out)
-        elif args.command == "gen":
+        if args.command == "gen":
             cmd_gen(args, parser, out)
+        else:
+            command = {"filter": cmd_filter, "sync": cmd_sync, "sweep": cmd_sweep}[args.command]
+            items = command(args, out)
+            # the inputs are hashed once the command has returned and its arrays are freed
+            write_metadata(out.target("metadata.txt"), _header_items(args) + items)
         return 0
     except (PhaseSyncError, OSError) as exc:
         out.discard_all()

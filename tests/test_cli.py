@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -29,6 +30,17 @@ def read_rows(path):
 def read_meta(path):
     lines = path.read_text().splitlines()
     return dict(line.split(" = ", 1) for line in lines)
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def child_env(**extra):
+    """os.environ with this checkout's phasesync first on PYTHONPATH."""
+    src = str(Path(phasesync.__file__).resolve().parent.parent)
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture()
@@ -151,7 +163,7 @@ class TestFilter:
                    "--out", out) == 0
         meta = read_meta(out / "metadata.txt")
         assert meta["command"] == "filter"
-        assert len(meta["input_sha256"]) == 64
+        assert meta["input_sha256"] == sha256_of(gen_dir / "panel.csv")
         assert meta["detrend"] == "true"
 
     def test_band_flag_conflict(self, tmp_path, capsys):
@@ -209,6 +221,7 @@ class TestSync:
         assert run("sync", gen_dir / "panel.csv", "--kl", 4, "--ku", 18,
                    "--window", 13, "--out", out) == 0
         meta = read_meta(out / "metadata.txt")
+        assert "calendar" not in meta and "calendar_sha256" not in meta
         assert meta["shortest_period_rounded"] == "28"
         assert meta["longest_period_rounded"] == "126"
         assert meta["n_pairs"] == "3"
@@ -235,6 +248,8 @@ class TestSync:
         meta = read_meta(out / "metadata.txt")
         assert "mean_R_0.7_contraction" in meta
         assert "mean_R_0.8_expansion" in meta
+        assert meta["calendar"] == str(calendar)
+        assert meta["calendar_sha256"] == sha256_of(calendar)
 
     def test_shipped_calendar_regime_is_the_per_month_rule(self, regime_panel, tmp_path):
         calendar = Path(__file__).resolve().parents[1] / "data" / "japan_recessions.csv"
@@ -555,21 +570,52 @@ class TestSweep:
         assert "at least two" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+# every command that writes metadata.txt; {calendar} is a one-episode calendar
+metadata_runs = pytest.mark.parametrize("argv", [
     ("filter", "--longest", 60, "--shortest", 15),
+    ("sync", "--kl", 4, "--ku", 18, "--window", 13),
     ("sync", "--kl", 4, "--ku", 18, "--window", 13, "--calendar", "{calendar}"),
     ("sweep", "--kl", 4, "--ku", 18, "--windows", "11,13"),
     ("sweep", "--bands", "5:17,4:18", "--window", 13),
-], ids=["filter", "sync-calendar", "sweep-windows", "sweep-bands"])
-def test_metadata_keys_written_once(regime_panel, tmp_path, argv):
+], ids=["filter", "sync", "sync-calendar", "sweep-windows", "sweep-bands"])
+
+
+def run_with_calendar(panel, tmp_path, argv):
+    """Run argv on panel into tmp_path/out, {calendar} filled in; return the
+    calendar path, or None if argv names none."""
     calendar = tmp_path / "cal.csv"
     calendar.write_text("peak,trough\n1982-07,1983-11\n")
-    out = tmp_path / "out"
-    argv = [str(calendar) if a == "{calendar}" else a for a in argv]
-    assert run(argv[0], regime_panel, *argv[1:], "--out", out) == 0
+    filled = [str(calendar) if a == "{calendar}" else a for a in argv]
+    assert run(filled[0], panel, *filled[1:], "--out", tmp_path / "out") == 0
+    return calendar if "{calendar}" in argv else None
+
+
+@metadata_runs
+def test_metadata_keys_written_once(regime_panel, tmp_path, argv):
+    run_with_calendar(regime_panel, tmp_path, argv)
     keys = [line.split(" = ", 1)[0]
-            for line in (out / "metadata.txt").read_text().splitlines()]
+            for line in (tmp_path / "out" / "metadata.txt").read_text().splitlines()]
     assert len(keys) == len(set(keys)), sorted(k for k in keys if keys.count(k) > 1)
+
+
+@metadata_runs
+def test_metadata_opens_with_input_digests_and_is_written_last(regime_panel, tmp_path,
+                                                               monkeypatch, argv):
+    targets, target = [], phasesync.cli._OutputTracker.target
+
+    def recorded(self, name):
+        targets.append(name)
+        return target(self, name)
+
+    monkeypatch.setattr(phasesync.cli._OutputTracker, "target", recorded)
+    calendar = run_with_calendar(regime_panel, tmp_path, argv)
+    assert targets[-1] == "metadata.txt" and targets.count("metadata.txt") == 1
+    header = [("command", argv[0]), ("input", str(regime_panel)),
+              ("input_sha256", sha256_of(regime_panel))]
+    if calendar is not None:
+        header += [("calendar", str(calendar)), ("calendar_sha256", sha256_of(calendar))]
+    lines = (tmp_path / "out" / "metadata.txt").read_text().splitlines()
+    assert [tuple(line.split(" = ", 1)) for line in lines[:len(header)]] == header
 
 
 class TestMainContract:
@@ -670,9 +716,7 @@ def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--out", "in_process") == 0
 
-    src = str(Path(phasesync.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
     encoding = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
         env=env, capture_output=True, text=True, check=True).stdout.strip()
@@ -686,3 +730,34 @@ def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / "child" / name).read_bytes() == \
             (tmp_path / "in_process" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ("filter", "/dev/stdin", "--kl", 4, "--ku", 18),
+    ("sync", "/dev/stdin", "--kl", 4, "--ku", 18, "--window", 13),
+    ("sync", "{panel}", "--kl", 4, "--ku", 18, "--window", 13, "--calendar", "/dev/stdin"),
+    ("sweep", "/dev/stdin", "--kl", 4, "--ku", 18, "--windows", "11,13"),
+], ids=["filter", "sync", "sync-calendar", "sweep"])
+def test_piped_input_is_refused(regime_panel, tmp_path, argv):
+    """A pipe is drained by the load, so its SHA-256 would be that of no
+    bytes: an input that is not a regular file is refused before any output."""
+    out = tmp_path / "out"
+    out.mkdir()
+    piped = (Path(__file__).resolve().parents[1] / "data" / "japan_recessions.csv"
+             if "--calendar" in argv else regime_panel)
+    argv = [str(regime_panel) if a == "{panel}" else str(a) for a in argv]
+    child = subprocess.run([sys.executable, "-m", "phasesync", *argv, "--out", str(out)],
+                           input=piped.read_bytes(), env=child_env(), capture_output=True)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.decode() == (
+        "error: input /dev/stdin is not a regular file: it is read twice\n")
+    assert list(out.iterdir()) == []
+
+
+def test_import_leaves_openssl_unloaded():
+    """hashlib's OpenSSL module adds about 3.5 MB resident; it is loaded only
+    when metadata.txt is written, after the run's arrays are freed."""
+    code = "import sys, phasesync.cli; print('_hashlib' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "False\n"
