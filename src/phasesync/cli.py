@@ -47,7 +47,8 @@ from .sync import score_pairs
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 
-_INPUT_FLAGS = ("input", "calendar")
+# each input's metadata key, and its name on the command line
+_INPUT_FLAGS = {"input": "input", "calendar": "--calendar"}
 
 
 def _header_items(args) -> list[tuple[str, str]]:
@@ -381,14 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = [p for p in (getattr(args, flag, None) for flag in _INPUT_FLAGS) if p is not None]
-    out = _OutputTracker(Path(args.out), inputs)
+    inputs = {name: getattr(args, flag) for flag, name in _INPUT_FLAGS.items()
+              if getattr(args, flag, None) is not None}
+    out = _OutputTracker(Path(args.out), list(inputs.values()))
     try:
-        for path in map(Path, inputs):
+        for name, path in inputs.items():
             # a pipe would be drained by the load and then hash as no bytes;
             # a missing file is left for the load to report
-            if path.exists() and not path.is_file():
-                raise ContractError(f"input {path} is not a regular file: it is read twice")
+            if Path(path).exists() and not Path(path).is_file():
+                raise ContractError(f"{name} {path} is not a regular file: it is read twice")
         out.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "gen":
             cmd_gen(args, parser, out)
