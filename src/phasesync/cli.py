@@ -33,7 +33,6 @@ from .pipeline import (
     DEFAULT_THRESHOLDS,
     PipelineConfig,
     ResultMeta,
-    SyncResult,
     band_items,
     check_thresholds,
     filter_column,
@@ -42,8 +41,10 @@ from .pipeline import (
     r_label,
     run_pipeline,
     write_metadata,
+    write_ratio_csv,
+    write_ratio_long_csv,
 )
-from .sync import score_pairs
+from .sync import check_window, score_pairs
 from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 
@@ -154,21 +155,15 @@ def cmd_sync(args, out: _OutputTracker) -> list[tuple[str, str]]:
         mask = meta.contraction_mask(load_recession_csv(args.calendar))
 
     with open(out.target("gamma2.csv"), "wb") as fh:
-        result = run_pipeline(panel, config, gamma_csv_sink(fh, meta))
-
-    labels = None
-    regime_items: list[tuple[str, str]] = []
-    if mask is not None:
-        labels = tuple("contraction" if c else "expansion" for c in mask)
-        regimes = [(regime, m) for regime, m in (("contraction", mask), ("expansion", ~mask))
-                   if m.any()]
-        regime_items = [(f"mean_R_{r_label(r)}_{regime}",
-                         format(result.ratios[r][m].mean(), ".12g"))
-                        for r in config.thresholds for regime, m in regimes]
-
-    result.write_ratio_wide_csv(out.target("ratios.csv"), labels)
-    result.write_ratio_long_csv(out.target("ratios_long.csv"))
-    return meta.items() + regime_items
+        ratios = run_pipeline(panel, config, gamma_csv_sink(fh, meta)).ratios
+    write_ratio_csv(out.target("ratios.csv"), meta, ratios, mask)
+    write_ratio_long_csv(out.target("ratios_long.csv"), meta, ratios)
+    if mask is None:
+        return meta.items()
+    regimes = [(regime, m) for regime, m in (("contraction", mask), ("expansion", ~mask))
+               if m.any()]
+    return meta.items() + [(f"mean_R_{r_label(r)}_{regime}", format(row[m].mean(), ".12g"))
+                           for r, row in zip(config.thresholds, ratios) for regime, m in regimes]
 
 
 def _list_flag(flag: str, text: str, convert, form: str) -> list:
@@ -208,7 +203,8 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     if args.bands is not None and args.window is None:
         raise ContractError("--bands sweep needs --window")
     if args.windows is not None:
-        flag, settings = "--windows", _list_flag("--windows", args.windows, int, "integers")
+        flag, settings = "--windows", _list_flag("--windows", args.windows,
+                                                 lambda part: check_window(int(part)), "integers")
         names = [f"window {w}" for w in settings]
     else:
         flag, settings = "--bands", _list_flag("--bands", args.bands, _band, "lower:upper pairs")
@@ -239,8 +235,7 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
         if config.band not in phased:
             phased[config.band] = panel_phases(panel, config)
         kept[label] = score_pairs(phased[config.band], config.window, thresholds)
-        SyncResult(gamma2=None, ratios=dict(zip(thresholds, kept[label])),
-                   meta=meta).write_ratio_wide_csv(out.target(f"ratios_{label}.csv"))
+        write_ratio_csv(out.target(f"ratios_{label}.csv"), meta, kept[label])
 
     # common support: the months every setting has a sample in. A sweep varies
     # the trim (--bands) or the window (--windows), never both, so the settings'

@@ -11,6 +11,7 @@ silently drift by a half-window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
@@ -65,8 +66,7 @@ class PipelineConfig:
     trim: bool = True
 
     def __post_init__(self):
-        check_window(self.window)
-        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "window", check_window(self.window))
         object.__setattr__(self, "thresholds", check_thresholds(self.thresholds))
 
 
@@ -175,23 +175,21 @@ class ResultMeta:
 class SyncResult:
     """All-pairs synchronization output.
 
-    pairs, n_pairs and n_samples are meta's; row k of the read-only
-    (pairs x samples) array gamma2 is pair k's windowed index.
-    gamma2 is None when run_pipeline was given a sink, which got the scores
-    instead, or sweep built the result. ratios maps each r to its R_t sequence.
+    n_pairs and n_samples are meta's. Row k of the read-only (pairs x
+    samples) array gamma2 is the windowed index of pair meta.pairs[k];
+    gamma2 is None when run_pipeline was given a sink, which got the
+    scores instead. Row k of the read-only (thresholds x samples) array
+    ratios is R_t at meta.config.thresholds[k].
     """
 
     gamma2: np.ndarray | None
-    ratios: dict[float, np.ndarray]
+    ratios: np.ndarray
     meta: ResultMeta
 
     def __post_init__(self):
+        self.ratios.flags.writeable = False
         if self.gamma2 is not None:
             self.gamma2.flags.writeable = False
-
-    @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return self.meta.pairs
 
     @property
     def n_pairs(self) -> int:
@@ -200,32 +198,6 @@ class SyncResult:
     @property
     def n_samples(self) -> int:
         return self.meta.n_samples
-
-    def write_ratio_long_csv(self, path) -> None:
-        """Long format: t,date,r,R."""
-        samples = csv_fields(self.meta.sample_fields())
-        with open(path, "wb") as fh:
-            fh.write(csv_line(["t", "date", "r", "R"]).encode())
-            for r in self.meta.config.thresholds:
-                fh.write(csv_rows(samples, csv_fields([(r_label(r),)]),
-                                  format_g12(self.ratios[r])[:, None]))
-
-    def write_ratio_wide_csv(self, path, labels: tuple[str, ...] | None = None) -> None:
-        """One R column per threshold; optional per-row regime label column."""
-        thresholds = self.meta.config.thresholds
-        if labels is not None and len(labels) != self.n_samples:
-            raise ContractError(
-                f"got {len(labels)} labels for {self.n_samples} samples"
-            )
-        header = ["t", "date"] + [f"R_{r_label(r)}" for r in thresholds]
-        blocks = [csv_fields(self.meta.sample_fields()),
-                  format_g12(np.column_stack([self.ratios[r] for r in thresholds]))]
-        if labels is not None:
-            header.append("regime")
-            blocks.append(csv_fields([(label,) for label in labels]))
-        with open(path, "wb") as fh:
-            fh.write(csv_line(header).encode())
-            fh.write(csv_rows(*blocks))
 
 
 def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
@@ -249,6 +221,14 @@ def write_metadata(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def sample_rows(fh, meta: ResultMeta, header):
+    """Write the CSV header t,date,*header to the binary file fh and return
+    rows(*blocks), the csv_rows of meta's samples' (t, date) fields and the
+    blocks, whose leading axes broadcast against the samples axis."""
+    fh.write(csv_line(["t", "date", *header]).encode())
+    return partial(csv_rows, csv_fields(meta.sample_fields()))
+
+
 def gamma_csv_sink(fh, meta: ResultMeta):
     """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to the
     binary file fh and return a score_pairs sink that writes the rows of
@@ -256,18 +236,38 @@ def gamma_csv_sink(fh, meta: ResultMeta):
 
     Block rows are matched to meta.pairs, the order score_pairs sends them in.
     """
-    samples = csv_fields(meta.sample_fields())
+    rows = sample_rows(fh, meta, ["pair_i", "pair_j", "gamma2"])
     pairs = iter(meta.pairs)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
-    fh.write(csv_line(["t", "date", "pair_i", "pair_j", "gamma2"]).encode())
 
     def write_block(block: np.ndarray) -> None:
         for start in range(0, len(block), step):
-            rows = block[start:start + step]
-            names = csv_fields(islice(pairs, len(rows)))
-            fh.write(csv_rows(samples, names[:, None], format_g12(rows)[..., None, :]))
+            chunk = block[start:start + step]
+            names = csv_fields(islice(pairs, len(chunk)))
+            fh.write(rows(names[:, None], format_g12(chunk)[..., None, :]))
 
     return write_block
+
+
+def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, mask=None) -> None:
+    """Wide format: one R_<r> column per threshold of meta, from the rows of
+    the (thresholds x samples) ratios; given a contraction mask over the
+    samples, a regime column of contraction or expansion."""
+    header = [f"R_{r_label(r)}" for r in meta.config.thresholds]
+    blocks = [format_g12(ratios.T)]
+    if mask is not None:
+        header.append("regime")
+        blocks.append(csv_fields([("contraction" if c else "expansion",) for c in mask]))
+    with open(path, "wb") as fh:
+        fh.write(sample_rows(fh, meta, header)(*blocks))
+
+
+def write_ratio_long_csv(path, meta: ResultMeta, ratios: np.ndarray) -> None:
+    """Long format, t,date,r,R: every sample at one threshold, then the next."""
+    r_fields = csv_fields([r_label(r)] for r in meta.config.thresholds)
+    with open(path, "wb") as fh:
+        rows = sample_rows(fh, meta, ["r", "R"])
+        fh.write(rows(r_fields[:, None], format_g12(ratios)[..., None, :]))
 
 
 def filter_column(column: np.ndarray, band: FilterBand, detrend: bool) -> np.ndarray:
@@ -324,7 +324,7 @@ def run_pipeline(panel: Panel, config: PipelineConfig, sink=None) -> SyncResult:
             start += len(block)
 
     ratios = score_pairs(phases, config.window, config.thresholds, sink)
-    return SyncResult(gamma2=gamma2, ratios=dict(zip(config.thresholds, ratios)), meta=meta)
+    return SyncResult(gamma2=gamma2, ratios=ratios, meta=meta)
 
 
 def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:

@@ -23,10 +23,11 @@ from .spectral import _as_series
 RATIO_TOL = 1e-12  # a pair is locked at r when gamma2 >= r - RATIO_TOL
 
 
-def check_window(window) -> None:
-    """Raise unless window is an odd integer >= 3."""
+def check_window(window) -> int:
+    """window as an int. Raises ContractError unless it is an odd integer >= 3."""
     if not is_integer(window) or window < 3 or window % 2 == 0:
         raise ContractError(f"window must be an odd integer >= 3, got {window}")
+    return int(window)
 
 
 def windowed_resultant_sq(psi, window: int) -> np.ndarray:

@@ -552,8 +552,12 @@ class TestSweep:
          "--bands part '0:18': need 1 <= lower <= upper, got (0, 18)"),
         (("--bands", "18:4,4:18", "--window", 13),
          "--bands part '18:4': need 1 <= lower <= upper, got (18, 4)"),
+        (("--kl", 4, "--ku", 18, "--windows", "11,12"),
+         "--windows part '12': window must be an odd integer >= 3, got 12"),
+        (("--kl", 4, "--ku", 18, "--windows", "11,1"),
+         "--windows part '1': window must be an odd integer >= 3, got 1"),
     ], ids=["windows", "bands", "windows-not-integer", "bands-not-a-pair", "one-band",
-            "band-below-1", "band-inverted"])
+            "band-below-1", "band-inverted", "window-even", "window-below-3"])
     def test_repeated_setting_rejected_before_panel_is_read(self, tmp_path, capsys,
                                                             axis, message):
         # the input does not exist, so only a check made before the load can answer

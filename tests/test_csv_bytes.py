@@ -24,7 +24,7 @@ from phasesync import (
 )
 from phasesync.cli import main
 from phasesync.csvtext import csv_fields, csv_line, csv_rows, format_g12
-from phasesync.pipeline import gamma_csv_sink
+from phasesync.pipeline import gamma_csv_sink, write_ratio_csv, write_ratio_long_csv
 
 # ids that csv.writer quotes, or that contain the %-template's own marker
 IDS = ("a,b", 'q"x', "p%d", "100%", "line\nbreak", "cr\rx", " sp", "plain")
@@ -72,7 +72,7 @@ def test_gamma_csv_bytes(result, tmp_path):
     with open(path, "wb") as fh:
         gamma_csv_sink(fh, result.meta)(result.gamma2)
     expected = [["t", "date", "pair_i", "pair_j", "gamma2"]]
-    for (id_i, id_j), row in zip(result.pairs, result.gamma2):
+    for (id_i, id_j), row in zip(result.meta.pairs, result.gamma2):
         for idx, g in enumerate(row):
             expected.append(sample_fields(result, idx) + [id_i, id_j, format(g, ".12g")])
     assert path.read_bytes() == writer_bytes(expected)
@@ -80,27 +80,28 @@ def test_gamma_csv_bytes(result, tmp_path):
 
 def test_ratio_long_csv_bytes(result, tmp_path):
     path = tmp_path / "ratios_long.csv"
-    result.write_ratio_long_csv(path)
+    write_ratio_long_csv(path, result.meta, result.ratios)
     expected = [["t", "date", "r", "R"]]
-    for r in result.meta.config.thresholds:
-        for idx, value in enumerate(result.ratios[r]):
+    for r, ratios in zip(result.meta.config.thresholds, result.ratios):
+        for idx, value in enumerate(ratios):
             expected.append(sample_fields(result, idx) + [format(r, "g"), format(value, ".12g")])
     assert path.read_bytes() == writer_bytes(expected)
 
 
 @pytest.mark.parametrize("with_labels", [False, True])
 def test_ratio_wide_csv_bytes(result, tmp_path, with_labels):
-    labels = None
+    mask = labels = None
     if with_labels:
-        labels = tuple(IDS[idx % len(IDS)] for idx in range(result.n_samples))
+        mask = np.arange(result.n_samples) % 3 == 1
+        labels = ["contraction" if c else "expansion" for c in mask]
     path = tmp_path / "ratios.csv"
-    result.write_ratio_wide_csv(path, labels)
+    write_ratio_csv(path, result.meta, result.ratios, mask)
     thresholds = result.meta.config.thresholds
     expected = [["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
                 + (["regime"] if with_labels else [])]
     for idx in range(result.n_samples):
         row = sample_fields(result, idx)
-        row += [format(result.ratios[r][idx], ".12g") for r in thresholds]
+        row += [format(value, ".12g") for value in result.ratios[:, idx]]
         if with_labels:
             row.append(labels[idx])
         expected.append(row)
@@ -158,14 +159,21 @@ def test_sweep_stability_bytes(tmp_path):
     panel = load_panel_csv(panel_path)
     results = [(f"W{w}", run_pipeline(panel, PipelineConfig(band=FilterBand(4, 18), window=w)))
                for w in (11, 13, 15)]
+    for label, res in results:
+        rows = [["t", "date", "R_0.7", "R_0.8"]]
+        for idx in range(res.n_samples):
+            rows.append(sample_fields(res, idx)
+                        + [format(value, ".12g") for value in res.ratios[:, idx]])
+        assert (out / f"ratios_{label}.csv").read_bytes() == writer_bytes(rows)
+
     months = [{res.meta.month_of(i): i for i in range(res.n_samples)} for _, res in results]
     common = sorted(set(months[0]).intersection(*months[1:]))
     expected = [["setting_a", "setting_b", "r", "pearson"]]
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            for r in (0.7, 0.8):
-                a = results[i][1].ratios[r][[months[i][m] for m in common]]
-                b = results[j][1].ratios[r][[months[j][m] for m in common]]
+            for k, r in enumerate((0.7, 0.8)):
+                a = results[i][1].ratios[k][[months[i][m] for m in common]]
+                b = results[j][1].ratios[k][[months[j][m] for m in common]]
                 pearson = float(np.corrcoef(a, b)[0, 1])
                 expected.append([results[i][0], results[j][0], format(r, "g"),
                                  format(pearson, ".12g")])

@@ -25,7 +25,8 @@ from phasesync import (
     sync_index_windowed,
     write_metadata,
 )
-from phasesync.pipeline import gamma_csv_sink, panel_phases
+from phasesync.pipeline import (gamma_csv_sink, panel_phases, write_ratio_csv,
+                                write_ratio_long_csv)
 
 BAND = FilterBand(4, 18)
 
@@ -98,8 +99,7 @@ class TestPipelineConfig:
         window = as_float.meta.config.window
         assert window == 13 and type(window) is int
         np.testing.assert_array_equal(as_float.gamma2, as_int.gamma2)
-        for r in as_int.ratios:
-            np.testing.assert_array_equal(as_float.ratios[r], as_int.ratios[r])
+        np.testing.assert_array_equal(as_float.ratios, as_int.ratios)
         write_metadata(tmp_path / "metadata.txt", as_float.meta.items())
         assert "window = 13\n" in (tmp_path / "metadata.txt").read_text()
         assert as_float.meta.items() == as_int.meta.items()
@@ -109,7 +109,7 @@ class TestRunPipeline:
     def test_pair_count_three_members(self):
         result = run_pipeline(small_panel(3), PipelineConfig(band=BAND, window=13))
         assert result.n_pairs == 3
-        assert result.pairs == (("m01", "m02"), ("m01", "m03"), ("m02", "m03"))
+        assert result.meta.pairs == (("m01", "m02"), ("m01", "m03"), ("m02", "m03"))
         assert result.gamma2.shape == (3, result.n_samples)
 
     def test_pair_count_formula(self):
@@ -127,10 +127,9 @@ class TestRunPipeline:
         panel = small_panel(4)
         a = run_pipeline(panel, config)
         b = run_pipeline(panel, config)
-        assert a.pairs == b.pairs
+        assert a.meta.pairs == b.meta.pairs
         np.testing.assert_array_equal(a.gamma2, b.gamma2)
-        for r in config.thresholds:
-            np.testing.assert_array_equal(a.ratios[r], b.ratios[r])
+        np.testing.assert_array_equal(a.ratios, b.ratios)
 
     def test_gamma2_array_equals_per_pair_index(self):
         config = PipelineConfig(band=BAND, window=13)
@@ -143,7 +142,7 @@ class TestRunPipeline:
             sync_index_windowed(phases[i] - phases[j], 13)
             for i, j in combinations(range(len(panel)), 2)
         ])
-        assert result.pairs == tuple(combinations(panel.ids, 2))
+        assert result.meta.pairs == tuple(combinations(panel.ids, 2))
         assert np.array_equal(result.gamma2, expected)
 
     def test_gamma2_array_read_only(self):
@@ -174,13 +173,13 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13,
                                 thresholds=(0.2, 0.5, 0.7, 0.9))
         result = run_pipeline(small_panel(5), config)
-        for low, high in zip(config.thresholds, config.thresholds[1:]):
-            assert np.all(result.ratios[high] <= result.ratios[low])
+        assert result.ratios.shape == (4, result.n_samples)
+        assert np.all(np.diff(result.ratios, axis=0) <= 0)
 
     def test_ratio_matches_manual_count(self):
         config = PipelineConfig(band=BAND, window=13)
         result = run_pipeline(small_panel(4), config)
-        np.testing.assert_array_equal(result.ratios[0.7],
+        np.testing.assert_array_equal(result.ratios[0],
                                       (result.gamma2 >= 0.7).mean(axis=0))
 
     def test_amplitude_invariance(self):
@@ -189,10 +188,9 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(scaled, config)
-        assert other.pairs == base.pairs
+        assert other.meta.pairs == base.meta.pairs
         np.testing.assert_allclose(other.gamma2, base.gamma2, atol=1e-9)
-        for r in config.thresholds:
-            np.testing.assert_allclose(other.ratios[r], base.ratios[r], atol=1e-9)
+        np.testing.assert_allclose(other.ratios, base.ratios, atol=1e-9)
 
     def test_common_offset_invariance(self):
         panel = small_panel(3, seed=6)
@@ -200,7 +198,7 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(shifted, config)
-        assert other.pairs == base.pairs
+        assert other.meta.pairs == base.meta.pairs
         np.testing.assert_allclose(other.gamma2, base.gamma2, atol=1e-9)
 
     def test_member_order_invariance(self):
@@ -209,11 +207,10 @@ class TestRunPipeline:
         config = PipelineConfig(band=BAND, window=13)
         base = run_pipeline(panel, config)
         other = run_pipeline(reordered, config)
-        other_gamma = dict(zip(other.pairs, other.gamma2))
-        for (id_i, id_j), row in zip(base.pairs, base.gamma2):
+        other_gamma = dict(zip(other.meta.pairs, other.gamma2))
+        for (id_i, id_j), row in zip(base.meta.pairs, base.gamma2):
             np.testing.assert_allclose(other_gamma[(id_j, id_i)], row, atol=1e-12)
-        for r in config.thresholds:
-            np.testing.assert_allclose(other.ratios[r], base.ratios[r], atol=1e-12)
+        np.testing.assert_allclose(other.ratios, base.ratios, atol=1e-12)
 
     def test_degenerate_series_named(self):
         # constant series detrends to exact zeros, so the analytic signal
@@ -311,7 +308,7 @@ class TestAnnotateRecessions:
     def test_regime_means(self):
         result = self.result()
         mask = result.meta.contraction_mask(self.CAL)
-        for ratio in result.ratios.values():
+        for ratio in result.ratios:
             months = [result.meta.month_of(idx) for idx in range(result.n_samples)]
             contraction = [R for R, m in zip(ratio, months)
                            if Month(1990, 7) < m <= Month(1991, 3)]
@@ -347,16 +344,16 @@ class TestResultOutputs:
         assert rows[0] == ["t", "date", "pair_i", "pair_j", "gamma2"]
         assert len(rows) == 1 + result.n_pairs * result.n_samples
         pairs = {(row[2], row[3]) for row in rows[1:]}
-        assert pairs == set(result.pairs)
+        assert pairs == set(result.meta.pairs)
         first = rows[1]
         assert int(first[0]) == result.meta.t_of(0)
         assert first[1] == str(result.meta.month_of(0))
         assert float(first[4]) == pytest.approx(
-            result.gamma2[result.pairs.index(("m01", "m02")), 0], rel=1e-11)
+            result.gamma2[result.meta.pairs.index(("m01", "m02")), 0], rel=1e-11)
 
     def test_ratio_long_csv(self, result, tmp_path):
         path = tmp_path / "ratios_long.csv"
-        result.write_ratio_long_csv(path)
+        write_ratio_long_csv(path, result.meta, result.ratios)
         rows = read_rows(path)
         assert rows[0] == ["t", "date", "r", "R"]
         assert len(rows) == 1 + 2 * result.n_samples
@@ -365,24 +362,21 @@ class TestResultOutputs:
 
     def test_ratio_wide_csv(self, result, tmp_path):
         path = tmp_path / "ratios.csv"
-        result.write_ratio_wide_csv(path)
+        write_ratio_csv(path, result.meta, result.ratios)
         rows = read_rows(path)
         assert rows[0] == ["t", "date", "R_0.7", "R_0.8"]
         assert len(rows) == 1 + result.n_samples
         np.testing.assert_allclose(
-            [float(row[2]) for row in rows[1:]], result.ratios[0.7], rtol=1e-11)
+            [float(row[2]) for row in rows[1:]], result.ratios[0], rtol=1e-11)
 
     def test_ratio_wide_with_labels(self, result, tmp_path):
         path = tmp_path / "ratios.csv"
-        labels = tuple("expansion" for _ in range(result.n_samples))
-        result.write_ratio_wide_csv(path, labels)
+        mask = np.arange(result.n_samples) < 5
+        write_ratio_csv(path, result.meta, result.ratios, mask)
         rows = read_rows(path)
         assert rows[0][-1] == "regime"
-        assert all(row[-1] == "expansion" for row in rows[1:])
-
-    def test_ratio_wide_label_length_checked(self, result, tmp_path):
-        with pytest.raises(ContractError, match="labels"):
-            result.write_ratio_wide_csv(tmp_path / "r.csv", ("expansion",))
+        assert [row[-1] for row in rows[1:]] == ["contraction"] * 5 + ["expansion"] * (
+            result.n_samples - 5)
 
     def test_meta_items_and_sidecar(self, result, tmp_path):
         items = result.meta.items()

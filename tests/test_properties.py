@@ -126,15 +126,20 @@ def test_blocks_equal_run_pipeline_gamma2(members, seed, window, detrend, trim):
     result = run_pipeline(panel, config)
     ratios, blocks = scored(panel_phases(panel, config), window, config.thresholds)
     np.testing.assert_array_equal(np.vstack(blocks), result.gamma2)
-    for r, counted in zip(config.thresholds, ratios):
-        np.testing.assert_array_equal(counted, result.ratios[r])
+    # ratios is score_pairs' (thresholds x samples) array, bit for bit and
+    # read-only; row k is R at thresholds[k]
+    assert result.ratios.tobytes() == ratios.tobytes()
+    assert result.ratios.shape == (len(config.thresholds), result.n_samples)
+    for r, row in zip(config.thresholds, result.ratios):
+        np.testing.assert_array_equal(row, ratio_above(result.gamma2, r))
+    assert not result.ratios.flags.writeable
     # with a sink, run_pipeline hands it the same blocks and keeps no gamma2
     sunk = []
     streamed = run_pipeline(panel, config, sunk.append)
     assert streamed.gamma2 is None
     np.testing.assert_array_equal(np.vstack(sunk), result.gamma2)
-    for r in config.thresholds:
-        np.testing.assert_array_equal(streamed.ratios[r], result.ratios[r])
+    assert streamed.ratios.tobytes() == result.ratios.tobytes()
+    assert not streamed.ratios.flags.writeable
 
 
 @PROPERTY
