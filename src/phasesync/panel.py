@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -227,17 +226,15 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
     faulty, and _fault names its first fault.
     """
     limit = csv.field_size_limit()
-    rows = 0
 
     def cells(lines, first: Month):
-        """Each line's text after its month, plain or (partly) quoted, and a
-        comma; ValueError on a line np.loadtxt might read otherwise than
-        csv.reader and _bad_cell: one with a NUL or non-ASCII character, a
-        quoted cell open at its line break or a field over csv's size limit."""
-        nonlocal rows
+        """Each line's text after its month and comma, plain or (partly) quoted.
+        ValueError on one with only whitespace after them, which np.loadtxt skips if empty,
+        or with a NUL or non-ASCII character, a quoted cell open at its line break or a
+        field over csv's size limit, which np.loadtxt might read otherwise than csv.reader."""
         # labels first, so a line past the last month, 9999-12, is left in lines
         labels = month_labels(first, Month(9999, 12) - first + 1)
-        for rows, (date, line) in enumerate(zip(labels, lines), start=1):
+        for date, line in zip(labels, lines):
             # an odd count of quotes may leave a quoted cell open at the line
             # break; a field's length is counted without its quotes
             if ("\0" in line or not line.isascii()
@@ -245,12 +242,11 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
                     or len(line) > limit and max(map(len, line.rstrip("\r\n")
                                                      .replace('"', "").split(","))) > limit):
                 raise ValueError("not a panel line np.loadtxt reads as csv.reader does")
-            if line[:8] == date + ",":
-                yield line[8:]
-            elif (m := _DATE_CELL.match(line)) and (m[1] or "") + m[2] == date:
-                yield line[m.end():]
-            else:
+            if not (m := _DATE_CELL.match(line)) or (m[1] or "") + m[2] != date:
                 raise ValueError("a data line does not start with its month")
+            if not (rest := line[m.end():]) or rest.isspace():
+                raise ValueError("a data line has no cells after its month")
+            yield rest
         if next(lines, None) is not None:
             raise ValueError("a data line past 9999-12")
 
@@ -260,17 +256,15 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
             if _header_fault(ids) is not None:
                 raise ValueError("no panel header")
             ids = ids[1:]
+            # a header-only file must not reach np.loadtxt, which warns on no data
             line = next(fh, "")
             first = Month.parse((next(csv.reader([line])) or [""])[0])
-            # loadtxt refuses a row whose cell count differs from the first
-            # row's, and skips a blank one, which the row count then shows
-            with warnings.catch_warnings():  # all blank is a shape fault too
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
-                                    quotechar='"', comments=None, ndmin=2)
-        if values.shape == (rows, len(ids)) and rows >= 2 and np.isfinite(values).all():
+            # loadtxt refuses a row whose cell count differs from the first row's
+            values = np.loadtxt(cells(chain([line], fh), first), delimiter=",",
+                                quotechar='"', comments=None, ndmin=2)
+        if values.shape[1:] == (len(ids),) and len(values) >= 2 and np.isfinite(values).all():
             return ids, first, values
-    except (ValueError, ContractError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error):  # UnicodeDecodeError and ContractError are ValueErrors
         pass
     raise _fault(path)
 

@@ -215,10 +215,14 @@ def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
 
 
 def write_metadata(path, items) -> None:
-    """Plain-text sidecar, one `key = value` per line."""
+    """Plain-text sidecar, one `key = value` per line. A line break in a key
+    or value would forge lines, so it raises ContractError before any write."""
+    lines = [(key, f"{key} = {value}\n") for key, value in items]
+    for key, line in lines:
+        if "\r" in line or line.count("\n") > 1:
+            raise ContractError(f"metadata {key!r}: a key or value holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in items:
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(line for _, line in lines)
 
 
 def sample_rows(fh, meta: ResultMeta, header):

@@ -634,6 +634,16 @@ class TestMainContract:
             f"error: --calendar {tmp_path} is not a regular file: it is read twice\n")
         assert not out.exists()
 
+    def test_line_break_in_input_path_is_refused(self, regime_panel, tmp_path, capsys):
+        # written as is, the path would add a forged 'nel = x.csv' line to metadata.txt
+        panel = tmp_path / "pa\nnel = x.csv"
+        panel.write_bytes(regime_panel.read_bytes())
+        out = tmp_path / "out"
+        assert run("sync", panel, "--kl", 4, "--ku", 18, "--window", 13, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: metadata 'input': a key or value holds a line break\n")
+        assert list(out.iterdir()) == []
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
             run("frobnicate")

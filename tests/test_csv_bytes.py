@@ -149,16 +149,22 @@ def test_quoted_ids_take_the_numpy_reader(tmp_path, monkeypatch):
     assert loaded.values.tobytes() == expected.values.tobytes()
 
 
-def test_sweep_stability_bytes(tmp_path):
+@pytest.mark.parametrize("flags, configs", [
+    (["--kl", "4", "--ku", "18", "--windows", "11,13,15"],
+     {f"W{w}": PipelineConfig(band=FilterBand(4, 18), window=w) for w in (11, 13, 15)}),
+    # the trims differ, so the common months are a slice of some settings' samples
+    (["--bands", "5:17,4:18,3:19", "--window", "13"],
+     {f"kl{lo}_ku{hi}": PipelineConfig(band=FilterBand(lo, hi), window=13)
+      for lo, hi in ((5, 17), (4, 18), (3, 19))}),
+], ids=["windows", "bands"])
+def test_sweep_stability_bytes(tmp_path, flags, configs):
     panel_path = tmp_path / "panel.csv"
     write_panel_csv(quoted_panel(n=240), panel_path)
     out = tmp_path / "sweep"
-    assert main(["sweep", str(panel_path), "--kl", "4", "--ku", "18",
-                 "--windows", "11,13,15", "--out", str(out)]) == 0
+    assert main(["sweep", str(panel_path), *flags, "--out", str(out)]) == 0
 
     panel = load_panel_csv(panel_path)
-    results = [(f"W{w}", run_pipeline(panel, PipelineConfig(band=FilterBand(4, 18), window=w)))
-               for w in (11, 13, 15)]
+    results = [(label, run_pipeline(panel, config)) for label, config in configs.items()]
     for label, res in results:
         rows = [["t", "date", "R_0.7", "R_0.8"]]
         for idx in range(res.n_samples):

@@ -168,17 +168,29 @@ DATE_FORMS = ([("{}{}", 0)] * 6 + [('"{}{}"', 0)] * 3
                  ('"{}"{}', 0), ('{}"{}"', 2)])
 
 
+@st.composite
+def member_cells(draw):
+    """cell_texts(), or one time in four a cell with no number text: '', ' '
+    or '\x1c'. A one-member row of one has only whitespace after its month."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(["", " ", "\x1c"]))
+    return draw(cell_texts())
+
+
 @settings(PROPERTY, max_examples=200)
-@given(st.lists(st.tuples(st.sampled_from(DATE_FORMS), cell_texts(), cell_texts()),
-                min_size=2, max_size=4),
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(DATE_FORMS),
+                          st.lists(member_cells(), min_size=3, max_size=3)),
+                max_size=4),
        st.sampled_from(["\r\n", "\n", ""]))
-def test_loads_the_csv_reader_floats_or_names_the_fault(rows, end):
-    # dates plain, quoted, space-padded or quoted in part; the last line
-    # with or without its line break
+def test_loads_the_csv_reader_floats_or_names_the_fault(members, rows, end):
+    # 1-3 members and 0-4 rows, so header-only and one-row files too; dates
+    # plain, quoted, space-padded or quoted in part; the last line with or
+    # without its line break
     dates = [str(Month(2000, month)) for month in range(1, len(rows) + 1)]
-    text = "date,a,b\r\n" + "\r\n".join(
-        f"{form.format(d[:cut], d[cut:])},{a},{b}"
-        for d, ((form, cut), a, b) in zip(dates, rows)) + end
+    text = ",".join(["date", *"abc"[:members]]) + "\r\n" + "\r\n".join(
+        ",".join([form.format(d[:cut], d[cut:]), *row[:members]])
+        for d, ((form, cut), row) in zip(dates, rows)) + end
     tmp, path = write_text(text)
     with tmp:
         expected = reference(path)
