@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvtext import csv_fields, csv_line, csv_rows, format_g12
+from .csvtext import csv_fields, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
 from .panel import (
     FilterBand,
@@ -52,21 +52,19 @@ from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 _INPUT_FLAGS = {"input": "input", "calendar": "--calendar"}
 
 
-def _header_items(args) -> list[tuple[str, str]]:
-    """The items that open every metadata.txt: command, then the input and
-    a sync --calendar, each path followed by its SHA-256."""
+def _header_items(command: str, inputs) -> list[tuple[str, str]]:
+    """The items that open every metadata.txt: command, then each of the
+    {metadata key: path} inputs, its path followed by its SHA-256."""
     # OpenSSL adds about 3.5 MB resident; loaded after the arrays are freed, it stays off the peak
     import hashlib
 
-    items = [("command", args.command)]
-    for flag in _INPUT_FLAGS:
-        path = getattr(args, flag, None)
-        if path is not None:
-            digest = hashlib.sha256()
-            with open(path, "rb") as fh:
-                for chunk in iter(lambda: fh.read(65536), b""):
-                    digest.update(chunk)
-            items += [(flag, str(path)), (f"{flag}_sha256", digest.hexdigest())]
+    items = [("command", command)]
+    for key, path in inputs.items():
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                digest.update(chunk)
+        items += [(key, str(path)), (f"{key}_sha256", digest.hexdigest())]
     return items
 
 
@@ -256,7 +254,7 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
             else:
                 pearsons.append(np.corrcoef(a, b)[0, 1])
     with open(out.target("stability.csv"), "wb") as fh:
-        fh.write(csv_line(["setting_a", "setting_b", "r", "pearson"]).encode())
+        fh.write(csv_rows(csv_fields([["setting_a", "setting_b", "r", "pearson"]])))
         fh.write(csv_rows(csv_fields(fields), format_g12(pearsons)[:, None]))
 
     return [
@@ -274,10 +272,6 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
-    if args.sine and args.regime is not None:
-        parser.error("give only one of --sine or --regime")
-    if not args.sine and args.regime is None:
-        parser.error("one of --sine or --regime is required")
     start = Month.parse(args.start)
     if args.sine:
         if args.n is None:
@@ -349,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--bands", help="comma list of lower:upper, e.g. 5:17,4:18")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic panel CSV")
-    p_gen.add_argument("--sine", action="store_true",
-                       help="pure sinusoids (needs --n and --period)")
-    p_gen.add_argument("--regime",
-                       help="segment layout, e.g. coupled:120,uncoupled:120")
+    mode = p_gen.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--sine", action="store_true",
+                      help="pure sinusoids (needs --n and --period)")
+    mode.add_argument("--regime", help="segment layout, e.g. coupled:120,uncoupled:120")
     p_gen.add_argument("--n", type=int, help="length in months (--sine)")
     p_gen.add_argument("--period", type=float, default=24.0,
                        help="sinusoid period in months (--sine)")
@@ -377,15 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = {name: getattr(args, flag) for flag, name in _INPUT_FLAGS.items()
-              if getattr(args, flag, None) is not None}
+    inputs = {key: getattr(args, key) for key in _INPUT_FLAGS
+              if getattr(args, key, None) is not None}
     out = _OutputTracker(Path(args.out), list(inputs.values()))
     try:
-        for name, path in inputs.items():
+        for key, path in inputs.items():
             # a pipe would be drained by the load and then hash as no bytes;
             # a missing file is left for the load to report
             if Path(path).exists() and not Path(path).is_file():
-                raise ContractError(f"{name} {path} is not a regular file: it is read twice")
+                raise ContractError(f"{_INPUT_FLAGS[key]} {path} is not a regular file: "
+                                    "it is read twice")
         out.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "gen":
             cmd_gen(args, parser, out)
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
             command = {"filter": cmd_filter, "sync": cmd_sync, "sweep": cmd_sweep}[args.command]
             items = command(args, out)
             # the inputs are hashed once the command has returned and its arrays are freed
-            write_metadata(out.target("metadata.txt"), _header_items(args) + items)
+            write_metadata(out.target("metadata.txt"), _header_items(args.command, inputs) + items)
         return 0
     except (PhaseSyncError, OSError) as exc:
         out.discard_all()

@@ -19,11 +19,6 @@ def csv_field(text: str) -> str:
     return text
 
 
-def csv_line(fields) -> str:
-    """One CSV row of two or more string fields, as csv.writer.writerow writes it."""
-    return ",".join(map(csv_field, fields)) + "\r\n"
-
-
 # Numbers in CSV text. A cell is a row of G12_WIDTH bytes padded with 0xFF,
 # a byte UTF-8 never uses, so one bytes.translate per block of rows removes
 # the padding wherever it sits.

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_rows, format_g12
 from .errors import ContractError, IngestionError
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
@@ -216,9 +216,10 @@ def read_panel_csv(path) -> tuple[list[str], Month, np.ndarray]:
     written in ASCII, without '_' or a line break; spaces and the ASCII
     separators \\x1c-\\x1f around it are ignored. Cells and dates may be
     quoted. Errors name the offending row (1-based, header = row 1) and
-    column. Problems with a row's shape (its cell count or its date) are
-    reported before any bad cell value, whichever row holds it; among bad
-    cells, the first in file order is reported.
+    column. A line that is not UTF-8 is reported first, wherever it lies;
+    then the header; then problems with a row's shape (its cell count or
+    its date) in file order, before any bad cell value, whichever row holds
+    it; among bad cells, the first in file order is reported.
 
     np.loadtxt reads the values in one pass: it splits a line at commas
     outside quotes as csv.reader does, and takes the cells _bad_cell takes.
@@ -287,8 +288,8 @@ def _header_fault(header: list[str]) -> str | None:
 
 def _fault(path) -> IngestionError:
     """The error naming the first fault, in read_panel_csv's order, of a
-    panel CSV read with csv.reader. A field over csv's size limit and a
-    line that is not UTF-8 raise their IngestionError here."""
+    panel CSV read with csv.reader. A line that is not UTF-8 and a field
+    over csv's size limit raise their IngestionError here."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -326,31 +327,23 @@ def _fault(path) -> IngestionError:
 @contextmanager
 def _csv_reader(path):
     """A csv.reader over the UTF-8 file at path, a leading byte-order mark
-    skipped. A field over csv's size limit and a line that is not UTF-8
-    raise IngestionError naming the line."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield reader
-        except csv.Error as exc:
-            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            # text is decoded in chunks, so find the line by rescanning the bytes
-            raise _not_utf8(path) from exc
-
-
-def _not_utf8(path) -> IngestionError:
-    """The error for the first line of the file that is not valid UTF-8."""
+    skipped. Every line is decoded before any row is read, so the first
+    line that is not UTF-8, wherever it lies, raises IngestionError naming
+    it; a field over csv's size limit raises one naming its line."""
     with open(path, "rb") as fh:
         for linenum, line in enumerate(fh, start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 byte = line[exc.start:exc.start + 1].hex()
-                return IngestionError(
-                    f"{path}: line {linenum}: not UTF-8 text ({exc.reason}: 0x{byte})"
-                )
-    raise AssertionError("the file failed to decode, yet every line is UTF-8")
+                raise IngestionError(f"{path}: line {linenum}: not UTF-8 text "
+                                     f"({exc.reason}: 0x{byte})") from exc
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _bad_cell(path, rownum, ids, cells) -> IngestionError | None:
@@ -387,7 +380,7 @@ def write_panel_csv(panel: Panel, path) -> None:
     """
     step = max(1, FORMAT_CHUNK // len(panel))
     with open(path, "wb") as fh:
-        fh.write(csv_line(["date", *panel.ids]).encode())
+        fh.write(csv_rows(csv_fields([["date", *panel.ids]])))
         for start in range(0, panel.n, step):
             values = panel.values[start:start + step]
             dates = csv_fields([(d,) for d in month_labels(panel.month_at(start), len(values))])

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .csvtext import FORMAT_CHUNK, csv_fields, csv_line, csv_rows, format_g12
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
 from .panel import (FilterBand, Month, Panel, RecessionCalendar, month_labels,
                     periods_of_band, round_half_up)
@@ -215,21 +215,21 @@ def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
 
 
 def write_metadata(path, items) -> None:
-    """Plain-text sidecar, one `key = value` per line. A line break in a key
-    or value would forge lines, so it raises ContractError before any write."""
-    lines = [(key, f"{key} = {value}\n") for key, value in items]
+    """Plain-text sidecar, one `key = value` per line. A key or value with a line break
+    str.splitlines() sees would forge lines, so it raises ContractError before any write."""
+    lines = [(key, f"{key} = {value}") for key, value in items]
     for key, line in lines:
-        if "\r" in line or line.count("\n") > 1:
+        if line.splitlines() != [line]:
             raise ContractError(f"metadata {key!r}: a key or value holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line for _, line in lines)
+        fh.writelines(line + "\n" for _, line in lines)
 
 
 def sample_rows(fh, meta: ResultMeta, header):
     """Write the CSV header t,date,*header to the binary file fh and return
     rows(*blocks), the csv_rows of meta's samples' (t, date) fields and the
     blocks, whose leading axes broadcast against the samples axis."""
-    fh.write(csv_line(["t", "date", *header]).encode())
+    fh.write(csv_rows(csv_fields([["t", "date", *header]])))
     return partial(csv_rows, csv_fields(meta.sample_fields()))
 
 

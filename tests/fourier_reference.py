@@ -3,8 +3,10 @@
 fourier_analyze takes a series' real trigonometric coefficients, and
 FourierCoefficients.synthesize evaluates the trigonometric sum directly
 (O(N^2), no FFT), in full or over a band: the band-pass partial sum that
-phasesync.spectral.bandpass must equal. It is test code, kept apart from
-the package it checks.
+phasesync.spectral.bandpass must equal. direct_coefficients is the O(N^2)
+oracle fourier_analyze is checked against, and grid_cos and grid_sin are
+whole-cycle test signals. It is test code, kept apart from the package it
+checks.
 """
 
 from __future__ import annotations
@@ -87,3 +89,32 @@ def fourier_analyze(series) -> FourierCoefficients:
         a[-1] = spectrum.real[-1] / n
         b[-1] = 0.0
     return FourierCoefficients(a=a, b=b, n=n)
+
+
+def direct_coefficients(x):
+    """fourier_analyze's coefficients by O(N^2) summation of the coefficient
+    integrals, discretized as sums: the slow reference analyzer."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    half = n // 2
+    a = np.zeros(half + 1)
+    b = np.zeros(half + 1)
+    t = np.arange(n)
+    for k in range(half + 1):
+        scale = 2.0 / n
+        if n % 2 == 0 and k == half:
+            scale = 1.0 / n  # Nyquist mode appears once in the trig sum
+        a[k] = scale * (x @ np.cos(2.0 * np.pi * k * t / n))
+        b[k] = scale * (x @ np.sin(2.0 * np.pi * k * t / n))
+    b[0] = 0.0
+    if n % 2 == 0:
+        b[half] = 0.0
+    return a, b
+
+
+def grid_cos(n, k):
+    return np.cos(2.0 * np.pi * k * np.arange(n) / n)
+
+
+def grid_sin(n, k):
+    return np.sin(2.0 * np.pi * k * np.arange(n) / n)

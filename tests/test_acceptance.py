@@ -36,7 +36,7 @@ from phasesync import (
 )
 from phasesync.cli import main as cli_main
 
-from fourier_reference import fourier_analyze
+from fourier_reference import direct_coefficients, fourier_analyze
 
 BAND = FilterBand(4, 18)
 
@@ -60,26 +60,6 @@ def _warm():
 @pytest.fixture(scope="module")
 def regime_panel():
     return gen_regime_panel(10, REGIME_SPEC)
-
-
-def direct_coefficients(x):
-    """O(N^2) trigonometric regression, the slow reference analyzer."""
-    n = x.size
-    t = np.arange(n, dtype=float)
-    half = n // 2
-    a = np.zeros(half + 1)
-    b = np.zeros(half + 1)
-    a[0] = 2.0 * x.mean()
-    for k in range(1, half + 1):
-        c = np.cos(2.0 * np.pi * k * t / n)
-        s = np.sin(2.0 * np.pi * k * t / n)
-        if n % 2 == 0 and k == half:
-            a[k] = float(x @ c) / n
-            b[k] = 0.0
-        else:
-            a[k] = 2.0 * float(x @ c) / n
-            b[k] = 2.0 * float(x @ s) / n
-    return a, b
 
 
 def common_month_indices(results):

@@ -10,13 +10,7 @@ from phasesync import (
     instantaneous_phase,
 )
 
-
-def grid_cos(n, k):
-    return np.cos(2.0 * np.pi * k * np.arange(n) / n)
-
-
-def grid_sin(n, k):
-    return np.sin(2.0 * np.pi * k * np.arange(n) / n)
+from fourier_reference import grid_cos, grid_sin
 
 
 def band_limited(n, seed, lower=2, upper=None):

@@ -634,9 +634,11 @@ class TestMainContract:
             f"error: --calendar {tmp_path} is not a regular file: it is read twice\n")
         assert not out.exists()
 
-    def test_line_break_in_input_path_is_refused(self, regime_panel, tmp_path, capsys):
-        # written as is, the path would add a forged 'nel = x.csv' line to metadata.txt
-        panel = tmp_path / "pa\nnel = x.csv"
+    # every line break str.splitlines() sees: written as is, the path would
+    # add a forged 'nel = x.csv' line to metadata.txt
+    @pytest.mark.parametrize("brk", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_line_break_in_input_path_is_refused(self, regime_panel, tmp_path, capsys, brk):
+        panel = tmp_path / f"pa{brk}nel = x.csv"
         panel.write_bytes(regime_panel.read_bytes())
         out = tmp_path / "out"
         assert run("sync", panel, "--kl", 4, "--ku", 18, "--window", 13, "--out", out) == 1

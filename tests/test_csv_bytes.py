@@ -23,7 +23,7 @@ from phasesync import (
     write_panel_csv,
 )
 from phasesync.cli import main
-from phasesync.csvtext import csv_fields, csv_line, csv_rows, format_g12
+from phasesync.csvtext import csv_fields, csv_rows, format_g12
 from phasesync.pipeline import gamma_csv_sink, write_ratio_csv, write_ratio_long_csv
 
 # ids that csv.writer quotes, or that contain the %-template's own marker
@@ -53,8 +53,9 @@ def sample_fields(result, idx):
 
 @pytest.mark.parametrize("sid", IDS + ("",))
 def test_csv_line_matches_csv_writer(sid):
+    # a header row, built by csv_rows as every CSV row is
     fields = ["date", sid, "x"]
-    assert csv_line(fields).encode() == writer_bytes([fields])
+    assert csv_rows(csv_fields([fields])) == writer_bytes([fields])
 
 
 def test_csv_rows_escapes_percent_in_every_field():

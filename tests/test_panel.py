@@ -493,10 +493,14 @@ class TestPanelCsv:
         with pytest.raises(IngestionError, match="2 data rows"):
             load_panel_csv(path)
 
-    # text is decoded 8 KB at a time, so row 2000 lies well past the first chunk
-    @pytest.mark.parametrize("rownum", [3, 2000])
-    def test_not_utf8_names_line(self, tmp_path, rownum):
-        path = long_csv(tmp_path / "p.csv", 2500, {rownum: "1,2"})
+    # the non-UTF-8 line is named before a row 2 with a cell too many, wherever it lies
+    @pytest.mark.parametrize("rownum, row2", [
+        pytest.param(3, "0,0", id="3"), pytest.param(2000, "0,0", id="2000"),
+        pytest.param(3, "0,0,0", id="3-row2-4-cells"),
+        pytest.param(2000, "0,0,0", id="2000-row2-4-cells"),
+    ])
+    def test_not_utf8_names_line(self, tmp_path, rownum, row2):
+        path = long_csv(tmp_path / "p.csv", 2500, {2: row2, rownum: "1,2"})
         lines = path.read_bytes().split(b"\n")
         lines[rownum - 1] = lines[rownum - 1].replace(b",1,", b",1\xff,")
         path.write_bytes(b"\n".join(lines))

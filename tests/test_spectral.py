@@ -12,37 +12,9 @@ from phasesync import (
     detrend_linear,
 )
 
-from fourier_reference import fourier_analyze
+from fourier_reference import direct_coefficients, fourier_analyze, grid_cos, grid_sin
 
 ORACLE_SIZES = [2, 3, 16, 17, 64, 100, 101, 255, 256, 488, 505, 512]
-
-
-def fourier_oracle(x):
-    """O(N^2) summation of the coefficient integrals, discretized as sums."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    half = n // 2
-    a = np.zeros(half + 1)
-    b = np.zeros(half + 1)
-    t = np.arange(n)
-    for k in range(half + 1):
-        scale = 2.0 / n
-        if n % 2 == 0 and k == half:
-            scale = 1.0 / n  # Nyquist mode appears once in the trig sum
-        a[k] = scale * (x @ np.cos(2.0 * np.pi * k * t / n))
-        b[k] = scale * (x @ np.sin(2.0 * np.pi * k * t / n))
-    b[0] = 0.0
-    if n % 2 == 0:
-        b[half] = 0.0
-    return a, b
-
-
-def grid_cos(n, k):
-    return np.cos(2.0 * np.pi * k * np.arange(n) / n)
-
-
-def grid_sin(n, k):
-    return np.sin(2.0 * np.pi * k * np.arange(n) / n)
 
 
 class TestFourierAnalyze:
@@ -71,7 +43,7 @@ class TestFourierAnalyze:
         rng = np.random.default_rng(n)
         x = rng.normal(size=n) * 10.0
         coef = fourier_analyze(x)
-        a_ref, b_ref = fourier_oracle(x)
+        a_ref, b_ref = direct_coefficients(x)
         np.testing.assert_allclose(coef.a, a_ref, atol=1e-10)
         np.testing.assert_allclose(coef.b, b_ref, atol=1e-10)
 
