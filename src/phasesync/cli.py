@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from itertools import combinations
 from pathlib import Path
 
@@ -116,6 +117,11 @@ class _OutputTracker:
         return path
 
     def discard_all(self) -> None:
+        """Remove every output opened and, once one was, an earlier run's
+        metadata.txt unless it is an input (gen, which has none, writes none)."""
+        if self.written and self.inputs:
+            with suppress(ContractError):
+                self.target("metadata.txt")
         for path in self.written:
             try:
                 path.unlink(missing_ok=True)
@@ -193,19 +199,17 @@ def _segment(part: str) -> tuple[int, str]:
 def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     if (args.windows is None) == (args.bands is None):
         raise ContractError("give exactly one of --windows or --bands")
-    if args.windows is not None and args.window is not None:
-        raise ContractError("--window does not apply to a --windows sweep")
-    for flag in ("kl", "ku", "longest", "shortest"):
-        if args.bands is not None and getattr(args, flag) is not None:
-            raise ContractError(f"--{flag} does not apply to a --bands sweep")
+    flag = "--windows" if args.windows is not None else "--bands"
+    for name in ("window",) if args.windows is not None else ("kl", "ku", "longest", "shortest"):
+        if getattr(args, name) is not None:
+            raise ContractError(f"--{name} does not apply to a {flag} sweep")
     if args.bands is not None and args.window is None:
         raise ContractError("--bands sweep needs --window")
     if args.windows is not None:
-        flag, settings = "--windows", _list_flag("--windows", args.windows,
-                                                 lambda part: check_window(int(part)), "integers")
+        settings = _list_flag(flag, args.windows, lambda part: check_window(int(part)), "integers")
         names = [f"window {w}" for w in settings]
     else:
-        flag, settings = "--bands", _list_flag("--bands", args.bands, _band, "lower:upper pairs")
+        settings = _list_flag(flag, args.bands, _band, "lower:upper pairs")
         names = [f"band {band.lower}:{band.upper}" for band in settings]
     if len(settings) < 2:
         raise ContractError(f"{flag} needs at least two values to compare")
@@ -218,22 +222,12 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     # the axis held fixed is recorded in the metadata
     if args.windows is not None:
         band = _resolve_band(args, panel.n)
-        configs = {f"W{w}": _config(args, band, w) for w in settings}
+        metas = {f"W{w}": ResultMeta.of(panel, _config(args, band, w)) for w in settings}
         fixed_items = band_items(panel.n, band)
     else:
-        configs = {f"kl{band.lower}_ku{band.upper}": _config(args, band, args.window)
-                   for band in settings}
+        metas = {f"kl{b.lower}_ku{b.upper}": ResultMeta.of(panel, _config(args, b, args.window))
+                 for b in settings}
         fixed_items = [("window", str(args.window))]
-    metas = {label: ResultMeta.of(panel, config) for label, config in configs.items()}
-
-    phased = {}  # band -> phases: a --windows sweep filters once
-    kept = {}  # label -> (thresholds x samples) R
-    for label, meta in metas.items():
-        config = meta.config
-        if config.band not in phased:
-            phased[config.band] = panel_phases(panel, config)
-        kept[label] = score_pairs(phased[config.band], config.window, thresholds)
-        write_ratio_csv(out.target(f"ratios_{label}.csv"), meta, kept[label])
 
     # common support: the months every setting has a sample in. A sweep varies
     # the trim (--bands) or the window (--windows), never both, so the settings'
@@ -242,8 +236,14 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     # ResultMeta.of has checked
     first = max(meta.anchor for meta in metas.values())
     last = min(meta.month_of(meta.n_samples - 1) for meta in metas.values())
-    common = [(label, kept[label][:, first - meta.anchor:last - meta.anchor + 1])
-              for label, meta in metas.items()]
+    band = phases = None  # a --windows sweep filters its one band once
+    common = []  # each setting's label and R over the common months
+    for label, meta in metas.items():
+        if meta.config.band != band:
+            band, phases = meta.config.band, panel_phases(panel, meta)
+        ratios = score_pairs(phases, meta.config.window, thresholds)
+        write_ratio_csv(out.target(f"ratios_{label}.csv"), meta, ratios)
+        common.append((label, ratios[:, first - meta.anchor:last - meta.anchor + 1]))
 
     fields, pearsons = [], []
     for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
@@ -397,7 +397,3 @@ def main(argv=None) -> int:
     except BaseException:
         out.discard_all()
         raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())

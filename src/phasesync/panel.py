@@ -95,6 +95,8 @@ class Panel:
         dup = first_repeated(ids)
         if dup is not None:
             raise ContractError(f"duplicate series id '{dup}'")
+        if "" in ids:
+            raise ContractError("blank series id")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(ids):
             raise ContractError(
@@ -132,17 +134,13 @@ class FilterBand:
         if not (is_integer(self.lower) and is_integer(self.upper)):
             raise ContractError("band cutoffs must be integers")
         if not 1 <= self.lower <= self.upper:
-            raise ContractError(
-                f"need 1 <= lower <= upper, got ({self.lower}, {self.upper})"
-            )
+            raise ContractError(f"need 1 <= lower <= upper, got ({self.lower}, {self.upper})")
 
     def validate_for(self, n: int) -> None:
         """Raise unless the band fits a length-n record."""
         if self.upper > n // 2:
-            raise ContractError(
-                f"band ({self.lower}, {self.upper}) invalid for length {n}: "
-                f"need upper <= floor(N/2) = {n // 2}"
-            )
+            raise ContractError(f"band ({self.lower}, {self.upper}) invalid for length {n}: "
+                                f"need upper <= floor(N/2) = {n // 2}")
 
 
 def periods_of_band(n: int, band: FilterBand) -> tuple[float, float]:

@@ -93,7 +93,7 @@ class ResultMeta:
         n, band = panel.n, config.band
         shortest, _ = periods_of_band(n, band)
         trim_offset = round_half_up(shortest) if config.trim else 0
-        usable = n - 2 * trim_offset
+        usable = max(0, n - 2 * trim_offset)
         if usable < config.window:
             raise ContractError(
                 f"window {config.window} does not fit the {usable} months left "
@@ -281,20 +281,15 @@ def filter_column(column: np.ndarray, band: FilterBand, detrend: bool) -> np.nda
     return bandpass(detrend_linear(x) if detrend else x, band)
 
 
-def panel_phases(panel: Panel, config: PipelineConfig) -> np.ndarray:
-    """The (members, months - 2 x trim offset) phases of a panel.
+def panel_phases(panel: Panel, meta: ResultMeta) -> np.ndarray:
+    """The (members, months - 2 x trim offset) phases of the run that
+    meta = ResultMeta.of(panel, config) describes.
 
-    Per series: filter_column, instantaneous phase, then the trim offset
-    of ResultMeta.of is dropped from each end.
-
-    Raises
-    ------
-    ContractError
-        What ResultMeta.of raises.
-    DegeneratePhaseError
-        Some series' filtered amplitude collapses; message names it.
+    Per series: filter_column, instantaneous phase, then meta's trim
+    offset is dropped from each end. Raises DegeneratePhaseError, naming
+    the series, where some series' filtered amplitude collapses.
     """
-    m = ResultMeta.of(panel, config).trim_offset
+    config, m = meta.config, meta.trim_offset
     phases = np.empty((len(panel), panel.n - 2 * m))
     for k, sid in enumerate(panel.ids):
         try:
@@ -313,10 +308,10 @@ def run_pipeline(panel: Panel, config: PipelineConfig, sink=None) -> SyncResult:
     or above each threshold (see lock_counts for the comparison). With a
     sink, each member's block of scores goes to sink in pair order and
     the result's gamma2 is None; without, the blocks fill gamma2. Raises
-    what panel_phases raises.
+    what ResultMeta.of and panel_phases raise.
     """
     meta = ResultMeta.of(panel, config)
-    phases = panel_phases(panel, config)
+    phases = panel_phases(panel, meta)
     gamma2 = None
     if sink is None:
         gamma2 = np.empty((meta.n_pairs, meta.n_samples))

@@ -306,6 +306,25 @@ class TestSync:
         assert not (out / "ratios_long.csv").exists()
         assert not (out / "metadata.txt").exists()
 
+    def test_failed_rerun_leaves_no_metadata(self, regime_panel, tmp_path, capsys):
+        out = tmp_path / "sync"
+        argv = ["--kl", 4, "--ku", 18, "--window", 13, "--out", out]
+        assert run("sync", regime_panel, *argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # a rerun that fails before opening an output leaves --out as it was
+        assert run("sync", regime_panel, "--calendar", tmp_path / "missing.csv", *argv) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # one that fails after opening gamma2.csv also removes the last run's
+        # metadata.txt, so the ratios it leaves do not look like a complete run
+        panel = phasesync.load_panel_csv(regime_panel)
+        values = panel.values.copy()
+        values[:, 1] = 1.0
+        write_panel_csv(Panel(panel.ids, panel.start, values), tmp_path / "flat.csv")
+        capsys.readouterr()
+        assert run("sync", tmp_path / "flat.csv", *argv) == 1
+        assert f"series '{panel.ids[1]}': zero amplitude everywhere" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["ratios.csv", "ratios_long.csv"]
+
     def test_thresholds_with_one_label_rejected(self, regime_panel, tmp_path, capsys):
         # both print as 0.7, which would name two R columns and two metadata keys alike
         calendar = tmp_path / "cal.csv"
@@ -714,6 +733,16 @@ class TestOutputIsNotAnInput:
         out = tmp_path / "out"
         out.mkdir()
         calendar = out / "ratios.csv"
+        calendar.write_text("peak,trough\n1982-07,1983-11\n")
+        self.refused(capsys, out, calendar, calendar, "sync", regime_panel, "--kl", 4, "--ku", 18,
+                     "--window", 13, "--calendar", calendar, "--out", out)
+
+    def test_sync_calendar_named_metadata(self, regime_panel, tmp_path, capsys):
+        # the outputs are written before metadata.txt is refused, then removed;
+        # metadata.txt itself is kept
+        out = tmp_path / "out"
+        out.mkdir()
+        calendar = out / "metadata.txt"
         calendar.write_text("peak,trough\n1982-07,1983-11\n")
         self.refused(capsys, out, calendar, calendar, "sync", regime_panel, "--kl", 4, "--ku", 18,
                      "--window", 13, "--calendar", calendar, "--out", out)

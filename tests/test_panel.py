@@ -163,6 +163,12 @@ class TestPanel:
         with pytest.raises(ContractError, match="panel needs at least one series"):
             Panel((), Month(2000, 1), np.zeros((2, 0)))
 
+    def test_blank_id(self):
+        # refused as load_panel_csv refuses a blank column id, so no panel
+        # is written that its reader refuses
+        with pytest.raises(ContractError, match="blank series id"):
+            Panel(["", "b"], Month(2000, 1), np.ones((3, 2)))
+
 
 class TestFilterBand:
     def test_valid(self):

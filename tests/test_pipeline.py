@@ -91,6 +91,9 @@ class TestPipelineConfig:
         panel = Panel(("a", "b"), Month(2000, 1), np.zeros((10, 2)))
         with pytest.raises(ContractError, match="window 3 does not fit the 0 months"):
             ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 2), window=3))
+        # N=10, upper=1 -> margin 10 per end, more than the panel: still 0 months left
+        with pytest.raises(ContractError, match="window 3 does not fit the 0 months"):
+            ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 1), window=3))
 
     def test_whole_float_window_runs_as_its_int(self, tmp_path):
         panel = small_panel(3)
@@ -227,14 +230,14 @@ def test_panel_phases_peak_memory_near_the_phases(tmp_path):
     # preallocated array near 1.1
     spec = RegimeSpec(segments=((1000, "coupled"), (1000, "uncoupled")), seed=3)
     panel = gen_regime_panel(100, spec)
-    config = PipelineConfig(band=FilterBand(20, 90), window=13)
+    meta = ResultMeta.of(panel, PipelineConfig(band=FilterBand(20, 90), window=13))
     tracemalloc.start()
     try:
-        phases = panel_phases(panel, config)
+        phases = panel_phases(panel, meta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert phases.shape == (100, 2000 - 2 * ResultMeta.of(panel, config).trim_offset)
+    assert phases.shape == (100, 2000 - 2 * meta.trim_offset)
     assert peak < 1.5 * phases.nbytes
 
 

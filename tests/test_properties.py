@@ -24,6 +24,7 @@ from phasesync.panel import (
 )
 from phasesync.pipeline import (
     PipelineConfig,
+    ResultMeta,
     filter_column,
     panel_phases,
     ratio_above,
@@ -124,7 +125,7 @@ def test_blocks_equal_run_pipeline_gamma2(members, seed, window, detrend, trim):
                                                  seed=seed))
     config = PipelineConfig(band=FilterBand(4, 18), window=window, detrend=detrend, trim=trim)
     result = run_pipeline(panel, config)
-    ratios, blocks = scored(panel_phases(panel, config), window, config.thresholds)
+    ratios, blocks = scored(panel_phases(panel, result.meta), window, config.thresholds)
     np.testing.assert_array_equal(np.vstack(blocks), result.gamma2)
     # ratios is score_pairs' (thresholds x samples) array, bit for bit and
     # read-only; row k is R at thresholds[k]
@@ -172,7 +173,8 @@ def test_locked_sines_tie_at_r_one(tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
     config = PipelineConfig(band=FilterBand(4, 18), window=13, thresholds=(1.0,),
                             detrend=False)
-    phases = panel_phases(load_panel_csv(tmp_path / "panel.csv"), config)
+    panel = load_panel_csv(tmp_path / "panel.csv")
+    phases = panel_phases(panel, ResultMeta.of(panel, config))
     ratios, blocks = scored(phases, 13, (1.0,))
     gamma2 = np.vstack(blocks)
     assert np.any(gamma2 < 1.0)
