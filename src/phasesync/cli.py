@@ -2,16 +2,16 @@
 
 Four subcommands: `filter` (band-pass a panel), `sync` (full pipeline to
 gamma2/ratio CSVs), `sweep` (repeat sync across windows or bands and
-report stability), and `gen` (synthetic panels). Every command writes into
---out and exits 0 only if all outputs were written; on failure, files
-already written are removed so a partial run never looks complete.
+report stability), and `gen` (synthetic panels). Every command writes its
+outputs into a stage directory inside --out (pipeline.StagedOutputs), and
+--out changes only once the command and its metadata.txt have been written:
+a failed run leaves --out as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import suppress
 from itertools import combinations
 from pathlib import Path
 
@@ -34,6 +34,7 @@ from .pipeline import (
     DEFAULT_THRESHOLDS,
     PipelineConfig,
     ResultMeta,
+    StagedOutputs,
     band_items,
     check_thresholds,
     filter_column,
@@ -96,40 +97,7 @@ def _config(args, band: FilterBand, window: int) -> PipelineConfig:
                           detrend=args.detrend, trim=args.trim)
 
 
-class _OutputTracker:
-    """Records files as they are created so failures can clean them up."""
-
-    def __init__(self, out_dir: Path, inputs):
-        self.out_dir = out_dir
-        self.inputs = [Path(p) for p in inputs]  # files no output may replace
-        self.written: list[Path] = []
-
-    def target(self, name: str) -> Path:
-        """The path of output `name`. Raises ContractError, before the file
-        is opened or recorded, if it is the same file as an input."""
-        path = self.out_dir / name
-        for source in self.inputs:
-            if path.exists() and source.exists() and path.samefile(source):
-                raise ContractError(
-                    f"output {path} is the input {source}: choose another --out"
-                )
-        self.written.append(path)
-        return path
-
-    def discard_all(self) -> None:
-        """Remove every output opened and, once one was, an earlier run's
-        metadata.txt unless it is an input (gen, which has none, writes none)."""
-        if self.written and self.inputs:
-            with suppress(ContractError):
-                self.target("metadata.txt")
-        for path in self.written:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-def cmd_filter(args, out: _OutputTracker) -> list[tuple[str, str]]:
+def cmd_filter(args, out: StagedOutputs) -> list[tuple[str, str]]:
     """Band-pass every member of the input panel into filtered.csv and
     return the run's metadata items.
 
@@ -149,7 +117,7 @@ def cmd_filter(args, out: _OutputTracker) -> list[tuple[str, str]]:
     ] + band_items(n, band)
 
 
-def cmd_sync(args, out: _OutputTracker) -> list[tuple[str, str]]:
+def cmd_sync(args, out: StagedOutputs) -> list[tuple[str, str]]:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
     meta = ResultMeta.of(panel, config)
@@ -196,7 +164,7 @@ def _segment(part: str) -> tuple[int, str]:
     return int(length), regime
 
 
-def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
+def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
     if (args.windows is None) == (args.bands is None):
         raise ContractError("give exactly one of --windows or --bands")
     flag = "--windows" if args.windows is not None else "--bands"
@@ -271,7 +239,7 @@ def cmd_sweep(args, out: _OutputTracker) -> list[tuple[str, str]]:
     ]
 
 
-def cmd_gen(args, parser: argparse.ArgumentParser, out: _OutputTracker) -> None:
+def cmd_gen(args, parser: argparse.ArgumentParser, out: StagedOutputs) -> None:
     start = Month.parse(args.start)
     if args.sine:
         if args.n is None:
@@ -373,7 +341,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     inputs = {key: getattr(args, key) for key in _INPUT_FLAGS
               if getattr(args, key, None) is not None}
-    out = _OutputTracker(Path(args.out), list(inputs.values()))
     try:
         for key, path in inputs.items():
             # a pipe would be drained by the load and then hash as no bytes;
@@ -381,19 +348,17 @@ def main(argv=None) -> int:
             if Path(path).exists() and not Path(path).is_file():
                 raise ContractError(f"{_INPUT_FLAGS[key]} {path} is not a regular file: "
                                     "it is read twice")
-        out.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "gen":
-            cmd_gen(args, parser, out)
-        else:
-            command = {"filter": cmd_filter, "sync": cmd_sync, "sweep": cmd_sweep}[args.command]
-            items = command(args, out)
-            # the inputs are hashed once the command has returned and its arrays are freed
-            write_metadata(out.target("metadata.txt"), _header_items(args.command, inputs) + items)
+        with StagedOutputs(args.out, inputs.values()) as out:
+            if args.command == "gen":
+                cmd_gen(args, parser, out)
+            else:
+                commands = {"filter": cmd_filter, "sync": cmd_sync, "sweep": cmd_sweep}
+                items = commands[args.command](args, out)
+                # the inputs are hashed once the command has returned and its arrays are freed
+                items = _header_items(args.command, inputs) + items + [out.outputs_item()]
+                write_metadata(out.target("metadata.txt"), items)
+            out.publish()
         return 0
     except (PhaseSyncError, OSError) as exc:
-        out.discard_all()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BaseException:
-        out.discard_all()
-        raise

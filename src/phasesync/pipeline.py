@@ -10,9 +10,14 @@ silently drift by a half-window.
 
 from __future__ import annotations
 
+import errno
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -223,6 +228,74 @@ def write_metadata(path, items) -> None:
             raise ContractError(f"metadata {key!r}: a key or value holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for _, line in lines)
+
+
+class StagedOutputs:
+    """One command's outputs, none of which may be an input.
+
+    Entered, it makes out_dir and a fresh stage directory in it, where
+    target(name) puts output name; publish() moves the outputs into out_dir,
+    and leaving removes the stage. So a run that fails leaves out_dir as it was.
+    """
+
+    def __init__(self, out_dir, inputs):
+        self.out_dir = Path(out_dir)
+        self.inputs = [Path(p) for p in inputs]  # files no output may replace or remove
+        self.names: list[str] = []
+
+    def __enter__(self) -> StagedOutputs:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.stage = Path(tempfile.mkdtemp(prefix=".phasesync-", dir=self.out_dir))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        shutil.rmtree(self.stage)
+
+    def target(self, name: str) -> Path:
+        """The staged path of output name; metadata.txt is the last output named."""
+        self.names.append(name)
+        return self.stage / name
+
+    def outputs_item(self) -> tuple[str, str]:
+        """metadata.txt's outputs item: the sorted names of the outputs so far."""
+        return "outputs", ",".join(sorted(self.names))
+
+    def input_at(self, path: Path) -> Path | None:
+        """The input that path is the same file as, if any."""
+        for source in self.inputs:
+            if path.exists() and source.exists() and path.samefile(source):
+                return source
+        return None
+
+    def publish(self) -> None:
+        """Move the outputs into out_dir, metadata.txt last. First a destination
+        that is an input or a directory raises. Then, with a metadata.txt among
+        the outputs, the earlier metadata.txt is removed, and each file or link
+        its outputs item names, unless the name is not a plain file name or the
+        file is an input."""
+        for name in self.names:
+            path = self.out_dir / name
+            source = self.input_at(path)
+            if source is not None:
+                raise ContractError(f"output {path} is the input {source}: choose another --out")
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if "metadata.txt" in self.names:
+            earlier = self.out_dir / "metadata.txt"
+            lines = earlier.read_text("utf-8", "replace").splitlines() if earlier.is_file() else []
+            earlier.unlink(missing_ok=True)
+            names = []
+            for line in lines:
+                key, _, value = line.partition(" = ")
+                if key == "outputs":
+                    names = value.split(",")
+            for name in names:
+                path = self.out_dir / name
+                if (name not in ("", ".", "..") and "/" not in name
+                        and (path.is_symlink() or path.is_file()) and not self.input_at(path)):
+                    path.unlink()
+        for name in self.names:
+            (self.stage / name).replace(self.out_dir / name)
 
 
 def sample_rows(fh, meta: ResultMeta, header):

@@ -36,6 +36,11 @@ def sha256_of(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def tree(out):
+    """{name: bytes} of everything in out; a directory's value is None."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+
 def child_env(**extra):
     """os.environ with this checkout's phasesync first on PYTHONPATH."""
     src = str(Path(phasesync.__file__).resolve().parent.parent)
@@ -249,6 +254,19 @@ class TestSync:
         assert "mean_R_0.7_contraction" in meta
         assert "mean_R_0.8_expansion" in meta
 
+    def test_calendar_covering_every_sample_month(self, regime_panel, tmp_path):
+        # no sample month is an expansion month: that regime gets no key, not nan
+        calendar = tmp_path / "cal.csv"
+        calendar.write_text("peak,trough\n1970-01,2020-01\n")
+        out = tmp_path / "sync"
+        assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", calendar, "--out", out) == 0
+        assert {row[-1] for row in read_rows(out / "ratios.csv")[1:]} == {"contraction"}
+        meta = read_meta(out / "metadata.txt")
+        assert [key for key in meta if key.startswith("mean_R_")] == [
+            "mean_R_0.7_contraction", "mean_R_0.8_contraction"]
+        assert "nan" not in meta.values()
+
     def test_shipped_calendar_regime_is_the_per_month_rule(self, regime_panel, tmp_path):
         calendar = Path(__file__).resolve().parents[1] / "data" / "japan_recessions.csv"
         episodes = [[Month.parse(cell) for cell in row] for row in read_rows(calendar)[1:]]
@@ -297,25 +315,23 @@ class TestSync:
 
     def test_failed_run_leaves_no_outputs(self, regime_panel, tmp_path, capsys):
         out = tmp_path / "sync"
-        # a directory squatting on a target filename forces a write failure
+        # a directory squatting on an output is found before any output moves
         (out / "ratios.csv").mkdir(parents=True)
         assert run("sync", regime_panel, "--kl", 4, "--ku", 18,
                    "--window", 13, "--out", out) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (out / "gamma2.csv").exists()
-        assert not (out / "ratios_long.csv").exists()
-        assert not (out / "metadata.txt").exists()
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{out / 'ratios.csv'}'\n")
+        assert tree(out) == {"ratios.csv": None}
 
-    def test_failed_rerun_leaves_no_metadata(self, regime_panel, tmp_path, capsys):
+    def test_failed_rerun_leaves_earlier_run(self, regime_panel, tmp_path, capsys):
         out = tmp_path / "sync"
         argv = ["--kl", 4, "--ku", 18, "--window", 13, "--out", out]
         assert run("sync", regime_panel, *argv) == 0
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        # a rerun that fails before opening an output leaves --out as it was
+        before = tree(out)
+        # a rerun that fails before writing an output leaves --out as it was
         assert run("sync", regime_panel, "--calendar", tmp_path / "missing.csv", *argv) == 1
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-        # one that fails after opening gamma2.csv also removes the last run's
-        # metadata.txt, so the ratios it leaves do not look like a complete run
+        assert tree(out) == before
+        # and so does one that fails after writing gamma2.csv
         panel = phasesync.load_panel_csv(regime_panel)
         values = panel.values.copy()
         values[:, 1] = 1.0
@@ -323,7 +339,7 @@ class TestSync:
         capsys.readouterr()
         assert run("sync", tmp_path / "flat.csv", *argv) == 1
         assert f"series '{panel.ids[1]}': zero amplitude everywhere" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["ratios.csv", "ratios_long.csv"]
+        assert tree(out) == before
 
     def test_thresholds_with_one_label_rejected(self, regime_panel, tmp_path, capsys):
         # both print as 0.7, which would name two R columns and two metadata keys alike
@@ -622,15 +638,19 @@ def test_metadata_keys_written_once(regime_panel, tmp_path, argv):
 @metadata_runs
 def test_metadata_opens_with_input_digests_and_is_written_last(regime_panel, tmp_path,
                                                                monkeypatch, argv):
-    targets, target = [], phasesync.cli._OutputTracker.target
+    targets, target = [], phasesync.pipeline.StagedOutputs.target
 
     def recorded(self, name):
         targets.append(name)
         return target(self, name)
 
-    monkeypatch.setattr(phasesync.cli._OutputTracker, "target", recorded)
+    monkeypatch.setattr(phasesync.pipeline.StagedOutputs, "target", recorded)
     calendar = run_with_calendar(regime_panel, tmp_path, argv)
     assert targets[-1] == "metadata.txt" and targets.count("metadata.txt") == 1
+    # outputs, the last item, names every other file the run wrote
+    outputs = read_meta(tmp_path / "out" / "metadata.txt")["outputs"]
+    assert outputs.split(",") == sorted(targets[:-1]) == sorted(
+        p.name for p in (tmp_path / "out").iterdir() if p.name != "metadata.txt")
     header = [("command", argv[0]), ("input", str(regime_panel)),
               ("input_sha256", sha256_of(regime_panel))]
     if calendar is not None:
@@ -696,7 +716,8 @@ class TestMainContract:
 
 class TestOutputIsNotAnInput:
     """An output that is the input panel or the calendar is refused before
-    it is opened: exit 1, no outputs, the input's bytes unchanged."""
+    any output moves into --out: exit 1, no outputs, the input's bytes
+    unchanged."""
 
     def refused(self, capsys, out, source, named, *argv):
         """Run argv, whose input `named` is the file `source` inside out."""
@@ -729,7 +750,7 @@ class TestOutputIsNotAnInput:
                      "--window", 13, "--out", out)
 
     def test_sync_calendar(self, regime_panel, tmp_path, capsys):
-        # gamma2.csv is written before ratios.csv is refused, then removed
+        # gamma2.csv is staged before ratios.csv is refused, and never moves
         out = tmp_path / "out"
         out.mkdir()
         calendar = out / "ratios.csv"
@@ -738,8 +759,8 @@ class TestOutputIsNotAnInput:
                      "--window", 13, "--calendar", calendar, "--out", out)
 
     def test_sync_calendar_named_metadata(self, regime_panel, tmp_path, capsys):
-        # the outputs are written before metadata.txt is refused, then removed;
-        # metadata.txt itself is kept
+        # every output is staged before metadata.txt is refused, and none
+        # moves; metadata.txt itself is kept
         out = tmp_path / "out"
         out.mkdir()
         calendar = out / "metadata.txt"
@@ -748,13 +769,115 @@ class TestOutputIsNotAnInput:
                      "--window", 13, "--calendar", calendar, "--out", out)
 
     def test_sweep(self, regime_panel, tmp_path, capsys):
-        # every ratios_W*.csv is written before stability.csv is refused
+        # every ratios_W*.csv is staged before stability.csv is refused
         out = tmp_path / "out"
         out.mkdir()
         source = out / "stability.csv"
         source.write_bytes(regime_panel.read_bytes())
         self.refused(capsys, out, source, source, "sweep", source, "--kl", 4, "--ku", 18,
                      "--windows", "11,13,15", "--out", out)
+
+
+class TestOneRunPerOut:
+    """A run that succeeds replaces the run its --out held, and one that
+    fails leaves --out as it was. Files no metadata.txt names, and inputs,
+    are kept."""
+
+    BAND = ("--kl", 4, "--ku", 18)
+
+    def test_each_run_replaces_the_last(self, regime_panel, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        steps = [
+            (("sweep", *self.BAND, "--windows", "11,13,15"),
+             ["ratios_W11.csv", "ratios_W13.csv", "ratios_W15.csv", "stability.csv"]),
+            (("sweep", *self.BAND, "--windows", "11,13"),
+             ["ratios_W11.csv", "ratios_W13.csv", "stability.csv"]),
+            (("sync", *self.BAND, "--window", 13),
+             ["gamma2.csv", "ratios.csv", "ratios_long.csv"]),
+            (("filter", *self.BAND), ["filtered.csv"]),
+        ]
+        for argv, names in steps:
+            assert run(argv[0], regime_panel, *argv[1:], "--out", out) == 0
+            assert sorted(tree(out)) == sorted(names + ["metadata.txt", "notes.txt"])
+            assert read_meta(out / "metadata.txt")["outputs"] == ",".join(names)
+        assert (out / "notes.txt").read_text() == "kept\n"
+        # gen writes no metadata.txt, so it leaves the earlier run alone
+        before = tree(out)
+        assert run("gen", "--sine", "--n", 60, "--out", out) == 0
+        assert tree(out) == {**before, "panel.csv": (out / "panel.csv").read_bytes()}
+
+    def test_input_named_by_outputs_is_kept(self, regime_panel, tmp_path):
+        out = tmp_path / "d"
+        assert run("filter", regime_panel, *self.BAND, "--out", out) == 0
+        filtered = (out / "filtered.csv").read_bytes()
+        assert run("sync", out / "filtered.csv", *self.BAND, "--window", 13,
+                   "--no-detrend", "--out", out) == 0
+        assert (out / "filtered.csv").read_bytes() == filtered
+        assert sorted(tree(out)) == ["filtered.csv", "gamma2.csv", "metadata.txt",
+                                     "ratios.csv", "ratios_long.csv"]
+
+    def test_forged_outputs_remove_nothing(self, regime_panel, tmp_path):
+        out = tmp_path / "d"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "x", tmp_path / "y", out / "sub" / "z"]
+        for path in kept:
+            path.write_text("kept\n")
+        (out / "metadata.txt").write_text(f"outputs = ../x,{tmp_path / 'y'},sub/z,sub,,.,..\n")
+        assert run("sync", regime_panel, *self.BAND, "--window", 13, "--out", out) == 0
+        assert all(path.read_text() == "kept\n" for path in kept)
+        assert sorted(tree(out)) == ["gamma2.csv", "metadata.txt", "ratios.csv",
+                                     "ratios_long.csv", "sub"]
+
+    def test_named_link_is_removed_not_its_target(self, regime_panel, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        (out / "link.csv").symlink_to(target)
+        (out / "metadata.txt").write_text("outputs = link.csv\n")
+        assert run("filter", regime_panel, *self.BAND, "--out", out) == 0
+        assert sorted(tree(out)) == ["filtered.csv", "metadata.txt"]
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, module", [
+        (("sync", *BAND, "--window", 13), phasesync.pipeline),
+        (("sweep", *BAND, "--windows", "11,13"), phasesync.cli),
+    ], ids=["sync", "sweep"])
+    def test_interrupt_leaves_out_as_it_was(self, regime_panel, tmp_path, monkeypatch,
+                                            argv, module):
+        out = tmp_path / "d"
+        assert run(argv[0], regime_panel, *argv[1:], "--out", out) == 0
+        before = tree(out)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, "score_pairs", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(argv[0], regime_panel, *argv[1:], "--out", out)
+        assert list(out.glob(".phasesync-*")) == []
+        assert tree(out) == before
+
+    def test_publish_that_fails_leaves_no_metadata(self, regime_panel, tmp_path, capsys,
+                                                   monkeypatch):
+        # once the earlier run is removed, metadata.txt is the last file to
+        # move in, so an interrupted publish never looks complete
+        out = tmp_path / "d"
+        argv = ("sync", regime_panel, *self.BAND, "--window", 13, "--out", out)
+        assert run(*argv) == 0
+        replace = Path.replace
+
+        def full_disk(self, target):
+            if Path(target).name == "ratios.csv":
+                raise OSError("No space left on device")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", full_disk)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert sorted(tree(out)) == ["gamma2.csv"]
 
 
 def test_non_utf8_locale_gives_same_bytes(tmp_path, monkeypatch):
