@@ -36,7 +36,6 @@ from .pipeline import (
     ResultMeta,
     StagedOutputs,
     band_items,
-    check_thresholds,
     filter_column,
     gamma_csv_sink,
     panel_phases,
@@ -78,9 +77,7 @@ def _resolve_band(args, n: int) -> FilterBand:
     if has_k:
         if args.kl is None or args.ku is None:
             raise ContractError("--kl and --ku must be given together")
-        band = FilterBand(args.kl, args.ku)
-        band.validate_for(n)
-        return band
+        return FilterBand(args.kl, args.ku)
     if has_p:
         if args.longest is None or args.shortest is None:
             raise ContractError("--longest and --shortest must be given together")
@@ -88,12 +85,10 @@ def _resolve_band(args, n: int) -> FilterBand:
     raise ContractError("a band is required: --kl/--ku or --longest/--shortest")
 
 
-def _thresholds(args) -> tuple[float, ...]:
-    return check_thresholds(sorted(set(args.r))) if args.r else DEFAULT_THRESHOLDS
-
-
 def _config(args, band: FilterBand, window: int) -> PipelineConfig:
-    return PipelineConfig(band=band, window=window, thresholds=_thresholds(args),
+    """The run's config; PipelineConfig checks the window and the thresholds."""
+    thresholds = sorted(set(args.r)) if args.r else DEFAULT_THRESHOLDS
+    return PipelineConfig(band=band, window=window, thresholds=thresholds,
                           detrend=args.detrend, trim=args.trim)
 
 
@@ -185,7 +180,6 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
     if repeated is not None:
         raise ContractError(f"{flag} repeats the {repeated}")
     panel = load_panel_csv(args.input)
-    thresholds = _thresholds(args)
 
     # the axis held fixed is recorded in the metadata
     if args.windows is not None:
@@ -196,12 +190,13 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
         metas = {f"kl{b.lower}_ku{b.upper}": ResultMeta.of(panel, _config(args, b, args.window))
                  for b in settings}
         fixed_items = [("window", str(args.window))]
+    thresholds = next(iter(metas.values())).config.thresholds  # checked, -0 read as 0
 
-    # common support: the months every setting has a sample in. A sweep varies
-    # the trim (--bands) or the window (--windows), never both, so the settings'
-    # sample months nest around the panel's middle and the common ones are
-    # those of the widest trim or window: n - 2 trim - W + 1 >= 1 months, as
-    # ResultMeta.of has checked
+    # common support: the months every setting has a sample in. A setting's
+    # samples are centred on the panel: its first trim + (W - 1)/2 months and
+    # as many last ones have none. So the settings' sample months nest, and the
+    # setting with the largest trim + (W - 1)/2 bounds the common ones, whichever
+    # axes vary: n - 2 trim - W + 1 >= 1 months, as ResultMeta.of has checked
     first = max(meta.anchor for meta in metas.values())
     last = min(meta.month_of(meta.n_samples - 1) for meta in metas.values())
     band = phases = None  # a --windows sweep filters its one band once

@@ -387,22 +387,22 @@ def write_panel_csv(panel: Panel, path) -> None:
 
 def load_recession_csv(path) -> RecessionCalendar:
     """Read reference dates from CSV with header ``peak,trough``, YYYY-MM
-    values and at least one episode; a leading byte-order mark is skipped."""
+    values and at least one episode; a leading byte-order mark is skipped.
+    Errors name their row (header = row 1) in file order: RecessionCalendar
+    judges each row's episode against the rows before it."""
     with _csv_reader(path) as reader:
         rows = list(reader)
     if not rows or rows[0] != ["peak", "trough"]:
-        raise IngestionError(f"{path}: header must be exactly 'peak,trough'")
+        raise IngestionError(f"{path}: row 1: header must be exactly 'peak,trough'")
     if len(rows) == 1:
         raise IngestionError(f"{path}: no episodes after the header")
     episodes = []
     for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise IngestionError(f"{path}: row {rownum}: expected 2 cells, got {len(row)}")
         try:
+            if len(row) != 2:
+                raise ContractError(f"expected 2 cells, got {len(row)}")
             episodes.append((Month.parse(row[0]), Month.parse(row[1])))
+            calendar = RecessionCalendar(tuple(episodes))
         except ContractError as exc:
             raise IngestionError(f"{path}: row {rownum}: {exc}") from exc
-    try:
-        return RecessionCalendar(tuple(episodes))
-    except ContractError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    return calendar

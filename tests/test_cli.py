@@ -179,6 +179,15 @@ class TestFilter:
                    "--out", tmp_path / "flt") == 1
         assert "not both" in capsys.readouterr().err
 
+    def test_band_out_of_range(self, tmp_path, capsys):
+        gen_dir = tmp_path / "gen"
+        run("gen", "--regime", "coupled:60", "--out", gen_dir)
+        out = tmp_path / "flt"
+        assert run("filter", gen_dir / "panel.csv", "--kl", 2, "--ku", 31, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: band (2, 31) invalid for length 60: need upper <= floor(N/2) = 30\n")
+        assert list(out.iterdir()) == []
+
     def test_band_required(self, tmp_path, capsys):
         gen_dir = tmp_path / "gen"
         run("gen", "--regime", "coupled:60", "--out", gen_dir)
@@ -372,6 +381,20 @@ class TestSync:
         assert [row[2] for row in read_rows(out / "stability.csv")[1:]] == ["1e-07", "0.5"]
         assert read_meta(out / "metadata.txt")["thresholds"] == "1e-07,0.5"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("sync", "--window", 12), "window must be an odd integer >= 3, got 12"),
+        (("sync", "--window", 13, "--r", 2), "thresholds must lie in [0, 1], got 2.0"),
+        (("sweep", "--windows", "11,13", "--r", 2), "thresholds must lie in [0, 1], got 2.0"),
+    ], ids=["window", "sync-threshold", "sweep-threshold"])
+    def test_config_flag_named_before_unfitting_band(self, regime_panel, tmp_path, capsys,
+                                                     argv, message):
+        # PipelineConfig checks the window and thresholds; ResultMeta.of then the band
+        command, *flags = argv
+        out = tmp_path / "run"
+        assert run(command, regime_panel, "--kl", 4, "--ku", 500, *flags, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_nan_threshold_is_a_range_error(self, regime_panel, tmp_path, capsys):
         out = tmp_path / "sync"
         assert run("sync", regime_panel, "--kl", 4, "--ku", 18, "--window", 13,
@@ -424,7 +447,7 @@ class TestStreamedSync:
         ("peak,trough\n", "cal.csv: no episodes after the header"),
         ("peak,trough\n1990-07,1991-03,x\n", "row 2: expected 2 cells, got 3"),
         ("peak,trough\n1990-07,1991-03\n1991-01,1992-01\n",
-         "episode starting 1991-01 overlaps previous trough 1991-03"),
+         "cal.csv: row 3: episode starting 1991-01 overlaps previous trough 1991-03"),
     ], ids=["missing", "disjoint", "empty", "three-cells", "overlap"])
     def test_bad_calendar_fails_before_scoring(self, regime_panel, tmp_path, capsys,
                                                monkeypatch, kernel_calls, calendar_text,
@@ -509,6 +532,14 @@ class TestSweep:
         assert (out / "ratios_kl4_ku18.csv").exists()
         rows = read_rows(out / "stability.csv")
         assert len(rows) == 1 + 1 * 2
+
+    def test_negative_zero_threshold_labels_as_zero(self, regime_panel, tmp_path):
+        out = tmp_path / "sweep"
+        assert run("sweep", regime_panel, "--kl", 4, "--ku", 18, "--windows", "11,13",
+                   "--r", "-0", "--r", "0.8", "--out", out) == 0
+        assert read_meta(out / "metadata.txt")["thresholds"] == "0,0.8"
+        assert [row[2] for row in read_rows(out / "stability.csv")[1:]] == ["0", "0.8"]
+        assert read_rows(out / "ratios_W13.csv")[0] == ["t", "date", "R_0", "R_0.8"]
 
     def test_band_sweep_needs_window(self, regime_panel, tmp_path, capsys):
         assert run("sweep", regime_panel, "--bands", "5:17,4:18",

@@ -1,11 +1,12 @@
 """Golden digests: the exact bytes the CLI writes on the seed-7 demo panel.
 
 Each run pins its exit code, its stdout and stderr (the test's temporary
-directory written as {tmp}) and the SHA-256 of every file it leaves in
---out; a directory left there is listed as "dir". metadata.txt is hashed
-without its `input` and `calendar` lines, which hold the temporary path;
-their SHA-256 lines stay in. A change that keeps the bytes keeps every
-digest here. The digests were taken on numpy 2.4.6.
+directory written as {tmp}, an input's path in stderr as its key in RUNS)
+and the SHA-256 of every file it leaves in --out; a directory left there is
+listed as "dir". metadata.txt is hashed without its `input` and `calendar`
+lines, which hold the temporary path; their SHA-256 lines stay in. A change
+that keeps the bytes keeps every digest here. The digests were taken on
+numpy 2.4.6.
 """
 
 import hashlib
@@ -21,8 +22,8 @@ DEMO = ("gen", "--regime", "coupled:120,uncoupled:120,coupled:120", "--members",
 BAND = ("--kl", "4", "--ku", "18")
 
 # argv of each run; {panel} is the demo panel, {flat} the same panel with a
-# zero second member, {data} the bundled data directory, {disjoint} a
-# calendar whose only episode ends before the panel starts
+# zero second member, {data} the bundled data directory, and each key of
+# CALENDARS a calendar holding its text
 RUNS = {
     "gen": DEMO,
     "sync": ("sync", "{panel}", *BAND, "--window", "13"),
@@ -42,6 +43,12 @@ RUNS = {
     "refused-unused-flag": ("sweep", "{panel}", *BAND, "--windows", "11,13", "--window", "13"),
     "refused-disjoint": ("sync", "{panel}", *BAND, "--window", "13",
                          "--calendar", "{disjoint}"),
+    "refused-calendar-header": ("sync", "{panel}", *BAND, "--window", "13",
+                                "--calendar", "{header}"),
+    "refused-calendar-peak": ("sync", "{panel}", *BAND, "--window", "13",
+                              "--calendar", "{peak}"),
+    "refused-calendar-overlap": ("sync", "{panel}", *BAND, "--window", "13",
+                                 "--calendar", "{overlap}"),
     "refused-zero-amplitude": ("sync", "{flat}", *BAND, "--window", "13"),
     "refused-directory": ("sync", "{panel}", *BAND, "--window", "13"),
 }
@@ -141,6 +148,12 @@ GOLDEN = {
     "refused-unused-flag": refused("error: --window does not apply to a --windows sweep\n"),
     "refused-disjoint": refused(
         "error: calendar episodes are disjoint from the result range 1982-03..2007-10\n"),
+    "refused-calendar-header": refused(
+        "error: {header}: row 1: header must be exactly 'peak,trough'\n"),
+    "refused-calendar-peak": refused(
+        "error: {peak}: row 3: episode peak 2001-11 must precede trough 2001-03\n"),
+    "refused-calendar-overlap": refused(
+        "error: {overlap}: row 3: episode starting 1991-01 overlaps previous trough 1991-03\n"),
     "refused-zero-amplitude": refused(
         "error: series 'm02': zero amplitude everywhere; phase undefined\n"),
     "refused-directory": refused(
@@ -167,9 +180,19 @@ def out_digests(out: Path) -> dict[str, str]:
     return digests
 
 
+# {disjoint}'s only episode ends before the panel starts; each other
+# calendar is refused on the row its stderr names
+CALENDARS = {
+    "{disjoint}": "peak,trough\n1950-01,1951-01\n",
+    "{header}": "start,end\n1990-07,1991-03\n",
+    "{peak}": "peak,trough\n1990-07,1991-03\n2001-11,2001-03\n",
+    "{overlap}": "peak,trough\n1990-07,1991-03\n1991-01,1992-01\n",
+}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """{panel}, {flat}, {data} and {disjoint} for RUNS."""
+    """{panel}, {flat}, {data} and the CALENDARS for RUNS."""
     tmp = tmp_path_factory.mktemp("inputs")
     assert main([*DEMO, "--out", str(tmp / "demo")]) == 0
     panel = tmp / "demo" / "panel.csv"
@@ -178,10 +201,12 @@ def inputs(tmp_path_factory):
     flat.write_text(lines[0] + "".join(
         ",".join([cells[0], cells[1], "0", *cells[3:]]) for cells in
         (line.split(",") for line in lines[1:])), encoding="utf-8")
-    disjoint = tmp / "disjoint.csv"
-    disjoint.write_text("peak,trough\n1950-01,1951-01\n", encoding="utf-8")
-    return {"{panel}": str(panel), "{flat}": str(flat), "{data}": str(DATA),
-            "{disjoint}": str(disjoint)}
+    paths = {"{panel}": str(panel), "{flat}": str(flat), "{data}": str(DATA)}
+    for key, text in CALENDARS.items():
+        path = tmp / f"{key.strip('{}')}.csv"
+        path.write_text(text, encoding="utf-8")
+        paths[key] = str(path)
+    return paths
 
 
 def observe(name, inputs, tmp_path, capsys) -> dict:
@@ -196,12 +221,11 @@ def observe(name, inputs, tmp_path, capsys) -> dict:
     capsys.readouterr()
     code = main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
-    return {
-        "code": code,
-        "stdout": captured.out.replace(str(tmp_path), "{tmp}"),
-        "stderr": captured.err.replace(str(tmp_path), "{tmp}"),
-        "files": out_digests(out),
-    }
+    stdout, stderr = (text.replace(str(tmp_path), "{tmp}")
+                      for text in (captured.out, captured.err))
+    for key, value in inputs.items():
+        stderr = stderr.replace(value, key)
+    return {"code": code, "stdout": stdout, "stderr": stderr, "files": out_digests(out)}
 
 
 @pytest.mark.parametrize("name", list(RUNS))

@@ -639,6 +639,35 @@ class TestRecessionCalendar:
         with pytest.raises(IngestionError, match=r"c\.csv: no episodes after the header$"):
             load_recession_csv(no_episodes)
 
+    @pytest.mark.parametrize("text, message", [
+        ("start,end\n1990-07,1991-03\n", "row 1: header must be exactly 'peak,trough'"),
+        ("", "row 1: header must be exactly 'peak,trough'"),
+        ("peak,trough\n1990-07,1991-03\n2001-03\n", "row 3: expected 2 cells, got 1"),
+        ("peak,trough\n1990-07,1991-13\n", "row 2: month must be in 1..12, got 13"),
+        ("peak,trough\n1990-07,1991-03\n2001-03,2001-03\n",
+         "row 3: episode peak 2001-03 must precede trough 2001-03"),
+        ("peak,trough\n1990-07,1991-03\n1991-01,1992-01\n",
+         "row 3: episode starting 1991-01 overlaps previous trough 1991-03"),
+    ], ids=["header", "empty", "cells", "month", "peak-not-before-trough", "overlap"])
+    def test_loader_error_names_its_row(self, tmp_path, text, message):
+        path = tmp_path / "cal.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestionError) as info:
+            load_recession_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_loader_reports_faults_in_file_order(self, tmp_path):
+        # the overlap in row 3 is met before the bad month in row 4
+        path = tmp_path / "cal.csv"
+        rows = ["peak,trough", "1990-07,1991-03", "1991-01,1992-01", "1993-13,1994-01"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match=r"cal\.csv: row 3: episode starting 1991-01"):
+            load_recession_csv(path)
+        rows[2] = "1991-04,1992-01"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match=r"cal\.csv: row 4: month must be in 1\.\.12"):
+            load_recession_csv(path)
+
     @pytest.mark.parametrize("cell", ['"1990-07\n"', "\u0661\u0669\u0669\u0660-\u0660\u0667"])
     def test_loader_rejects_date_that_is_not_yyyy_mm(self, tmp_path, cell):
         path = tmp_path / "cal.csv"
