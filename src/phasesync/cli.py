@@ -46,7 +46,6 @@ from .pipeline import (
     write_ratio_long_csv,
 )
 from .sync import check_window, score_pairs
-from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
 
 
 # each input's metadata key, and its name on the command line
@@ -235,6 +234,9 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser, out: StagedOutputs) -> None:
+    # only gen generates; loaded here, sync, sweep and filter never compile or run synthetic.py
+    from .synthetic import RegimeSpec, gen_regime_panel, gen_sine
+
     start = Month.parse(args.start)
     if args.sine:
         if args.n is None:

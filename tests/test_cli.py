@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import math
 import os
 import subprocess
@@ -971,3 +972,59 @@ def test_import_adds_no_openssl():
                            capture_output=True, text=True, check=True)
     with_numpy, with_cli = child.stdout.split()
     assert with_cli == with_numpy
+
+
+
+def child_stdout(code, env=None):
+    """stdout of `python -c code` run with env (child_env() if None)."""
+    return subprocess.run([sys.executable, "-c", code], env=env or child_env(),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_cli_skips_synthetic():
+    """Only gen generates panels, so cmd_gen imports synthetic.py itself and
+    sync, sweep and filter calls never compile or run it."""
+    code = "import sys, phasesync.cli; print('phasesync.synthetic' in sys.modules)"
+    assert child_stdout(code).split() == ["False"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"], ids=["default", "caller"])
+def test_cli_runs_one_blas_thread(given):
+    """`python -m phasesync` sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+    OpenBLAS starts no worker thread beside the main one; a value the caller
+    set wins (how many threads it starts then depends on the host's cores)."""
+    code = ("import os, runpy, sys; sys.argv = ['phasesync', '--help']\n"
+            "try: runpy.run_module('phasesync', run_name='__main__')\n"
+            "except SystemExit: pass\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    value, threads = child_stdout(code, env).splitlines()[-1].split()
+    assert value == (given or "1")
+    if given is None:
+        assert threads == "1"
+
+
+class TestLazyPackage:
+    """`import phasesync` loads no submodule and not numpy; each public name
+    is imported from its module on first use."""
+
+    def test_import_loads_no_module(self):
+        code = ("import sys, phasesync; "
+                "print([m for m in sys.modules if m == 'numpy' or m.startswith('phasesync.')])")
+        assert child_stdout(code).split() == ["[]"]
+
+    def test_star_import_binds_every_export(self):
+        names = {}
+        exec("from phasesync import *", names)
+        for name in phasesync.__all__:
+            home = (phasesync if name == "__version__" else
+                    importlib.import_module(f"phasesync.{phasesync._EXPORTS[name]}"))
+            assert names[name] is getattr(home, name), name
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            phasesync.no_such_name
