@@ -28,7 +28,10 @@ def round_half_up(x: float) -> int:
 
 
 def is_integer(value) -> bool:
-    """Whether value equals an int; False, not an exception, for nan or inf."""
+    """Whether value equals an int; False, not an exception, for nan or inf,
+    and False for a bool or np.bool_, which is a flag, not a count."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return value == int(value)
     except (TypeError, ValueError, OverflowError):
@@ -43,10 +46,10 @@ class Month:
     month: int
 
     def __post_init__(self):
-        if not 0 <= self.year <= 9999:
-            raise ContractError(f"year must be in 0..9999, got {self.year}")
-        if not 1 <= self.month <= 12:
-            raise ContractError(f"month must be in 1..12, got {self.month}")
+        for name, low, high in (("year", 0, 9999), ("month", 1, 12)):
+            if not (is_integer(value := getattr(self, name)) and low <= value <= high):
+                raise ContractError(f"{name} must be in {low}..{high}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def parse(cls, text: str) -> "Month":
@@ -131,8 +134,10 @@ class FilterBand:
     upper: int
 
     def __post_init__(self):
-        if not (is_integer(self.lower) and is_integer(self.upper)):
-            raise ContractError("band cutoffs must be integers")
+        for name in ("lower", "upper"):
+            if not is_integer(value := getattr(self, name)):
+                raise ContractError(f"band cutoffs must be integers, got {name} = {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.lower <= self.upper:
             raise ContractError(f"need 1 <= lower <= upper, got ({self.lower}, {self.upper})")
 

@@ -61,7 +61,8 @@ def check_thresholds(values) -> tuple[float, ...]:
 class PipelineConfig:
     """Parameters of one full panel run.
 
-    thresholds must be strictly increasing values in [0, 1]; window odd.
+    thresholds must be strictly increasing values in [0, 1]; window odd;
+    detrend and trim bools.
     """
 
     band: FilterBand
@@ -73,6 +74,10 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "window", check_window(self.window))
         object.__setattr__(self, "thresholds", check_thresholds(self.thresholds))
+        for name in ("detrend", "trim"):
+            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise ContractError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
 
 
 @dataclass(frozen=True)
@@ -306,24 +311,26 @@ def sample_rows(fh, meta: ResultMeta, header):
     return partial(csv_rows, csv_fields(meta.sample_fields()))
 
 
-def gamma_csv_sink(fh, meta: ResultMeta):
-    """Write the gamma2 CSV header (t,date,pair_i,pair_j,gamma2) to the
-    binary file fh and return a score_pairs sink that writes the rows of
-    each block it gets, a few thousand values at a time.
-
-    Block rows are matched to meta.pairs, the order score_pairs sends them in.
-    """
-    rows = sample_rows(fh, meta, ["pair_i", "pair_j", "gamma2"])
-    pairs = iter(meta.pairs)
+def long_table_sink(fh, meta: ResultMeta, header, keys):
+    """Write the CSV header t,date,*header to the binary file fh and return a sink
+    that writes each (rows x samples) block it gets, a few thousand values at a time:
+    each block row, led by the fields of the next of keys, is one CSV row per sample."""
+    rows = sample_rows(fh, meta, header)
+    keys = iter(keys)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
 
     def write_block(block: np.ndarray) -> None:
         for start in range(0, len(block), step):
             chunk = block[start:start + step]
-            names = csv_fields(islice(pairs, len(chunk)))
+            names = csv_fields(islice(keys, len(chunk)))
             fh.write(rows(names[:, None], format_g12(chunk)[..., None, :]))
 
     return write_block
+
+
+def gamma_csv_sink(fh, meta: ResultMeta):
+    """The gamma2 CSV's score_pairs sink: rows t,date,pair_i,pair_j,gamma2 of meta.pairs."""
+    return long_table_sink(fh, meta, ["pair_i", "pair_j", "gamma2"], meta.pairs)
 
 
 def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, mask=None) -> None:
@@ -341,10 +348,9 @@ def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, mask=None) -> No
 
 def write_ratio_long_csv(path, meta: ResultMeta, ratios: np.ndarray) -> None:
     """Long format, t,date,r,R: every sample at one threshold, then the next."""
-    r_fields = csv_fields([r_label(r)] for r in meta.config.thresholds)
     with open(path, "wb") as fh:
-        rows = sample_rows(fh, meta, ["r", "R"])
-        fh.write(rows(r_fields[:, None], format_g12(ratios)[..., None, :]))
+        labels = [(r_label(r),) for r in meta.config.thresholds]
+        long_table_sink(fh, meta, ["r", "R"], labels)(ratios)
 
 
 def filter_column(column: np.ndarray, band: FilterBand, detrend: bool) -> np.ndarray:
@@ -403,17 +409,15 @@ def ratio_above(gamma2: np.ndarray, r: float) -> np.ndarray:
     """Fraction of the rows of (pairs x samples) gamma2 at or above r, per sample.
 
     A pair counts when gamma2 >= r - RATIO_TOL, the rule of lock_counts.
-    Raises ContractError for a value that is not finite or lies outside
-    [0, 1], naming the first such (row, column).
-    """
+    Raises ContractError for an r check_thresholds refuses, and for a value
+    that is not finite or lies outside [0, 1], naming the first (row, column)."""
     gamma2 = np.asarray(gamma2, dtype=float)
     if gamma2.ndim != 2 or gamma2.shape[0] == 0:
         raise ContractError(
             f"need a 2-d (pairs x samples) array with at least one pair, "
             f"got shape {gamma2.shape}"
         )
-    if not 0.0 <= r <= 1.0:
-        raise ContractError(f"threshold must lie in [0, 1], got {r}")
+    (r,) = check_thresholds((r,))
     bad = ~((gamma2 >= 0.0) & (gamma2 <= 1.0))  # nan compares false
     if bad.any():
         row, col = np.argwhere(bad)[0]

@@ -16,11 +16,12 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ContractError
-from .panel import Month, Panel
+from .panel import Month, Panel, is_integer
 
 REGIMES = ("coupled", "uncoupled")
 
@@ -30,17 +31,24 @@ REGIMES = ("coupled", "uncoupled")
 DETUNE_WALK_STEP = 0.15
 
 
+def _parameter(name: str, value, least=None, integer: bool = False):
+    """value, an int when integer, else a finite number kept as given; >= least
+    unless least is None. Raises ContractError naming name otherwise."""
+    ok = is_integer(value) if integer else (isinstance(value, Real) and np.isfinite(value))
+    if not (ok and (least is None or value >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ContractError(f"need {'an integer' if integer else 'a finite'} {name}{bound}, "
+                            f"got {value!r}")
+    return int(value) if integer else value
+
+
 def gen_sine(n: int, period: float, amplitude: float = 1.0,
              phase_offset: float = 0.0) -> np.ndarray:
     """Sampled sinusoid: amplitude * sin(2*pi*t/period + phase_offset), t = 0..n-1."""
-    if n < 2:
-        raise ContractError(f"need n >= 2, got {n}")
-    if not (np.isfinite(period) and period >= 2):
-        raise ContractError(f"need a finite period >= 2, got {period}")
-    for name, value in (("amplitude", amplitude), ("phase_offset", phase_offset)):
-        if not np.isfinite(value):
-            raise ContractError(f"need a finite {name}, got {value}")
-    t = np.arange(n)
+    t = np.arange(_parameter("n", n, least=2, integer=True))
+    period = _parameter("period", period, least=2)
+    amplitude = _parameter("amplitude", amplitude)
+    phase_offset = _parameter("phase_offset", phase_offset)
     return amplitude * np.sin(2.0 * np.pi * t / period + phase_offset)
 
 
@@ -64,27 +72,21 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        segs = tuple((int(length), regime) for length, regime in self.segments)
+        segs = tuple((_parameter("segment length", length, least=1, integer=True), regime)
+                     for length, regime in self.segments)
         if not segs:
             raise ContractError("need at least one segment")
-        for length, regime in segs:
-            if length < 1:
-                raise ContractError(f"segment lengths must be >= 1, got {length}")
+        for _, regime in segs:
             if regime not in REGIMES:
                 raise ContractError(
                     f"regime must be one of {REGIMES}, got {regime!r}"
                 )
+        object.__setattr__(self, "segments", segs)
         if self.total < 2:
             raise ContractError("total panel length must be >= 2")
-        if not (np.isfinite(self.base_period) and self.base_period >= 2):
-            raise ContractError(f"need a finite base_period >= 2, got {self.base_period}")
-        for name in ("jitter", "noise_sd"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ContractError(f"need a finite {name} >= 0, got {value}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ContractError(f"need an integer seed >= 0, got {self.seed!r}")
-        object.__setattr__(self, "segments", segs)
+        for name, least, integer in (("base_period", 2, False), ("jitter", 0, False),
+                                     ("noise_sd", 0, False), ("seed", 0, True)):
+            object.__setattr__(self, name, _parameter(name, getattr(self, name), least, integer))
 
     @property
     def total(self) -> int:
@@ -129,8 +131,9 @@ def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
     -------
     Panel, or (Panel, phases) when return_phases is set.
     """
-    if m < 2:
-        raise ContractError(f"need at least 2 members, got {m}")
+    if not (is_integer(m) and m >= 2):
+        raise ContractError(f"need at least 2 members, got {m!r}")
+    m = int(m)
     rng = np.random.default_rng(spec.seed)
     total = spec.total
     theta = np.empty((m, total))

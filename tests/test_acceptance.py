@@ -1,12 +1,13 @@
 """End-to-end acceptance checks.
 
-Twelve numbered criteria covering the full chain: Fourier analysis and
+Thirteen numbered criteria covering the full chain: Fourier analysis and
 reconstruction, Hilbert identities, the locked sine pair, null
 calibration of the synchronization index, pair combinatorics, cutoff
 arithmetic, the coupled/uncoupled regime contrast, sweep stability, the
 invariance suite, exactly locked sines counting at r = 1 through the
-CLI, and the paper's contraction/expansion contrast on panels coupled in
-the bundled calendars' contraction months. Each test prints one summary line; run with -s to see them. Timed
+CLI, the paper's contraction/expansion contrast on panels coupled in
+the bundled calendars' contraction months, and the lock decisions a
+record's edge changes. Each test prints one summary line; run with -s to see them. Timed
 tests exclude first-call costs via the module warmup.
 """
 
@@ -39,6 +40,7 @@ from phasesync import (
     write_panel_csv,
 )
 from phasesync.cli import main as cli_main
+from phasesync.sync import RATIO_TOL
 
 from fourier_reference import direct_coefficients, fourier_analyze
 
@@ -349,3 +351,53 @@ def test_criterion_12_contraction_contrast(tmp_path, calendar_name, seed):
         assert d[r] > d_shifted[r]
     print(f"criterion 12: PASS ({calendar_name} seed {seed}: D = "
           + ", ".join(f"{d[r]:+.3f} (shifted {d_shifted[r]:+.3f}) at r = {r}" for r in d) + ")")
+
+
+def edge_flip_shares(trim: bool, seeds) -> dict[float, tuple[float, float]]:
+    """{r: (edge share, interior share)} of the lock decisions that differ
+    between a 505-month cut and the same months inside its 1,515-month
+    record, pooled over the seeds' 20-member panels of fifteen alternating
+    101-month segments. The record runs band 12..54 and the cut band 4..18,
+    the same periods (28.06-126.25 months) and the same trim of 28; the cut
+    is trimmed only when trim is set. Edge: the 15 window centres nearest
+    each end of the cut. Interior: the centres >= 150 months from both ends."""
+    # {r: [[edge flips, edge decisions], [interior flips, interior decisions]]}
+    counts = {r: np.zeros((2, 2), dtype=int) for r in (0.7, 0.8)}
+    layout = tuple((101, ("coupled", "uncoupled")[k % 2]) for k in range(15))
+    for seed in seeds:
+        panel = gen_regime_panel(20, RegimeSpec(segments=layout, seed=seed))
+        record = run_pipeline(panel, PipelineConfig(band=FilterBand(12, 54), window=13))
+        months = Panel(panel.ids, panel.start + 505, panel.values[505:1010])
+        cut = run_pipeline(months, PipelineConfig(band=BAND, window=13, trim=trim))
+        first = cut.meta.anchor - record.meta.anchor
+        same = record.gamma2[:, first:first + cut.n_samples]
+        idx = np.arange(cut.n_samples)
+        centre = cut.meta.anchor - months.start + idx  # month of the cut, 0..504
+        edge = (idx < 15) | (idx >= cut.n_samples - 15)
+        interior = (centre >= 150) & (months.n - 1 - centre >= 150)
+        for r, count in counts.items():
+            flips = (same >= r - RATIO_TOL) != (cut.gamma2 >= r - RATIO_TOL)
+            for row, where in zip(count, (edge, interior)):
+                row += flips[:, where].sum(), flips[:, where].size
+    return {r: tuple(flips / total for flips, total in count) for r, count in counts.items()}
+
+
+def test_criterion_13_record_length_edges():
+    # A window centre near the cut's edge sees the filter's edge effects,
+    # one in the interior sees only the record length. Measured over seeds
+    # 1-12 (both configurations together take under a second): trimmed,
+    # edge 8.0% vs interior 3.9% (2.1x) at r = 0.7 and 13.7% vs 5.5% (2.5x)
+    # at r = 0.8; untrimmed, edge 14.8% (3.8x) and 21.6% (3.9x). The bound
+    # of 3x sits between the two, 0.9x / 0.5x above the trimmed ratios and
+    # 0.8x / 0.9x below the untrimmed ones, so the trim is what keeps the
+    # edge within it: the untrimmed cut must fail it (the mutation check). The interior
+    # share is the floor: with the same periods about 4% / 5.5% of interior
+    # lock decisions change when the record is three times longer.
+    seeds = range(1, 13)
+    trimmed, untrimmed = edge_flip_shares(True, seeds), edge_flip_shares(False, seeds)
+    for r, (edge, interior) in trimmed.items():
+        assert edge <= 3 * interior
+        assert untrimmed[r][0] > 3 * untrimmed[r][1]
+    print("criterion 13: PASS (" + ", ".join(
+        f"edge {edge:.1%} vs interior {interior:.1%}, untrimmed edge "
+        f"{untrimmed[r][0]:.1%} at r = {r}" for r, (edge, interior) in trimmed.items()) + ")")

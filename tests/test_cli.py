@@ -135,6 +135,8 @@ class TestGen:
         (("--regime", "coupled:x"),
          "--regime expects comma-separated regime:length parts, got 'coupled:x'"),
         (("--regime", "coupled:1"), "total panel length must be >= 2"),
+        (("--regime", "coupled:0"), "need an integer segment length >= 1, got 0"),
+        (("--sine", "--n", 1), "need an integer n >= 2, got 1"),
     ])
     def test_unusable_generator_parameter_is_clean_error(self, tmp_path, capsys,
                                                          argv, message):

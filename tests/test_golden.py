@@ -231,3 +231,14 @@ def observe(name, inputs, tmp_path, capsys) -> dict:
 @pytest.mark.parametrize("name", list(RUNS))
 def test_golden(name, inputs, tmp_path, capsys):
     assert observe(name, inputs, tmp_path, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_long_tables_do_not_depend_on_the_chunk(chunk, inputs, tmp_path, capsys, monkeypatch):
+    # the long-table sink formats at most FORMAT_CHUNK values at a time, and
+    # at least one row of 308 samples: 1 and 7 write gamma2.csv and
+    # ratios_long.csv a row at a time, 1000 three rows (the default 2048, six)
+    monkeypatch.setattr("phasesync.pipeline.FORMAT_CHUNK", chunk)
+    files = observe("sync", inputs, tmp_path, capsys)["files"]
+    for name in ("gamma2.csv", "ratios_long.csv"):
+        assert files[name] == GOLDEN["sync"]["files"][name]

@@ -87,6 +87,20 @@ class TestMonth:
         with pytest.raises(ContractError, match="got 10000"):
             Month(9999, 12) + 1
 
+    @pytest.mark.parametrize("year,month,name", [
+        (2000.5, 1, "year"), (True, 1, "year"), ("2000", 1, "year"),
+        (2000, 1.5, "month"), (2000, np.True_, "month"),
+    ])
+    def test_fields_that_are_not_integers_rejected(self, year, month, name):
+        # 2000.5 would fail only in str(), and True would print as 0001-01
+        with pytest.raises(ContractError, match=f"{name} must be in "):
+            Month(year, month)
+
+    def test_whole_float_fields_stored_as_int(self):
+        month = Month(2000.0, np.int64(3))
+        assert type(month.year) is int and type(month.month) is int
+        assert str(month) == "2000-03" and month == Month(2000, 3)
+
     def test_panel_ends_by_9999_12(self):
         assert make_panel(n=7, start=Month(9999, 6)).month_at(6) == Month(9999, 12)
         with pytest.raises(ContractError,
@@ -179,6 +193,17 @@ class TestFilterBand:
                                              (float("inf"), 5), (1, float("inf"))])
     def test_invalid_range(self, lower, upper):
         with pytest.raises(ContractError):
+            FilterBand(lower, upper)
+
+    def test_whole_float_cutoffs_stored_as_int(self):
+        band = FilterBand(4.0, np.int64(18))
+        assert (band.lower, band.upper) == (4, 18)
+        assert type(band.lower) is int and type(band.upper) is int
+
+    @pytest.mark.parametrize("lower,upper,name", [(True, 5, "lower"), (1, np.True_, "upper"),
+                                                  (1, "5", "upper")])
+    def test_cutoff_that_is_not_an_integer_named(self, lower, upper, name):
+        with pytest.raises(ContractError, match=f"got {name} = "):
             FilterBand(lower, upper)
 
     def test_too_high_for_length(self):

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -59,6 +60,25 @@ class TestPipelineConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
             PipelineConfig(band=BAND, **{"window": 13, **kwargs})
+
+    @pytest.mark.parametrize("name", ["detrend", "trim"])
+    @pytest.mark.parametrize("value", ["false", None, 0])
+    def test_flag_that_is_not_a_bool_rejected(self, name, value):
+        # "false" is truthy: it would detrend and trim while the metadata read false
+        with pytest.raises(ContractError, match=f"{name} must be a bool, got {value!r}"):
+            PipelineConfig(band=BAND, window=13, **{name: value})
+
+    def test_numpy_bool_flag_stored_as_bool(self):
+        config = PipelineConfig(band=BAND, window=13, detrend=np.False_, trim=np.True_)
+        assert (config.detrend, config.trim) == (False, True)
+        assert type(config.detrend) is bool and type(config.trim) is bool
+
+    def test_float_band_cutoffs_stored_as_int(self):
+        # kept as floats, whole-number cutoffs would fail as slice indices
+        config = PipelineConfig(band=FilterBand(4.0, 18.0), window=13)
+        result = run_pipeline(small_panel(3), config)
+        assert dict(result.meta.items())["band_lower"] == "4"
+        assert result.ratios.shape == (2, result.n_samples)
 
     def test_thresholds_with_one_label_rejected(self):
         # both print as 0.7, which would name two R columns and two metadata keys alike
@@ -264,8 +284,11 @@ class TestRatioAbove:
         np.testing.assert_array_equal(ratio_above(gamma2, 1.0), [0.5])
 
     def test_threshold_range(self):
-        with pytest.raises(ContractError, match="threshold"):
-            ratio_above(np.array([[0.5]]), 1.2)
+        # the rule and message of PipelineConfig's and the CLI's thresholds
+        for r in (1.2, -0.1, float("nan")):
+            message = f"thresholds must lie in [0, 1], got {r}"
+            with pytest.raises(ContractError, match=re.escape(message)):
+                ratio_above(np.array([[0.5]]), r)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError, match="at least one pair"):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ class TestGenSine:
         with pytest.raises(ContractError, match=f"finite {name}"):
             gen_sine(**{"n": 24, "period": 12.0, **kwargs})
 
+    @pytest.mark.parametrize("n", [2.5, np.nan, True, "24", 1])
+    def test_length_that_is_not_an_integer_named(self, n):
+        # np.arange(2.5) would give a 3-month sinusoid
+        with pytest.raises(ContractError, match=re.escape(f"need an integer n >= 2, got {n!r}")):
+            gen_sine(n, 24.0)
+
+    def test_whole_float_length_accepted(self):
+        np.testing.assert_array_equal(gen_sine(24.0, 12.0), gen_sine(24, 12.0))
+
 
 class TestRegimeSpec:
     def test_total_and_lookup(self):
@@ -89,10 +99,29 @@ class TestRegimeSpec:
         ("noise_sd", np.inf),
         ("seed", -1),
         ("seed", 1.5),
+        ("seed", 2.5),
+        ("seed", "3"),
+        ("seed", True),
+        ("base_period", "33"),
     ])
     def test_unusable_parameter_named(self, name, value):
         with pytest.raises(ContractError, match=f"{name} >= "):
             RegimeSpec(segments=((10, "coupled"),), **{name: value})
+
+
+    @pytest.mark.parametrize("length", [60.7, "60", 0, True, np.nan])
+    def test_segment_length_that_is_not_a_count_named(self, length):
+        # a count is never rounded: int() would make 60.7 and '60' both 60
+        with pytest.raises(ContractError, match=re.escape(
+                f"need an integer segment length >= 1, got {length!r}")):
+            RegimeSpec(segments=((length, "coupled"), (30, "uncoupled")))
+
+    def test_integers_stored_as_int(self):
+        spec = RegimeSpec(segments=((60.0, "coupled"), (np.int64(30), "uncoupled")),
+                          seed=np.uint8(4))
+        assert spec.segments == ((60, "coupled"), (30, "uncoupled")) and spec.total == 90
+        assert all(type(length) is int for length, _ in spec.segments)
+        assert type(spec.seed) is int and spec.seed == 4
 
 
 class TestGenRegimePanel:
@@ -195,3 +224,8 @@ class TestGenRegimePanel:
     def test_needs_two_members(self):
         with pytest.raises(ContractError, match="2 members"):
             gen_regime_panel(1, RegimeSpec(segments=((30, "coupled"),)))
+
+    @pytest.mark.parametrize("m", [2.5, True, "3"])
+    def test_member_count_that_is_not_an_integer_named(self, m):
+        with pytest.raises(ContractError, match=re.escape(f"need at least 2 members, got {m!r}")):
+            gen_regime_panel(m, RegimeSpec(segments=((30, "coupled"),)))
