@@ -115,21 +115,17 @@ def cmd_sync(args, out: StagedOutputs) -> list[tuple[str, str]]:
     panel = load_panel_csv(args.input)
     config = _config(args, _resolve_band(args, panel.n), args.window)
     meta = ResultMeta.of(panel, config)
-    mask = None
+    regimes = []
     if args.calendar is not None:
         # a bad calendar fails before any series is filtered or gamma2.csv opened
-        mask = meta.contraction_mask(load_recession_csv(args.calendar))
+        regimes = meta.regimes(load_recession_csv(args.calendar))
 
     with open(out.target("gamma2.csv"), "wb") as fh:
         ratios = run_pipeline(panel, config, gamma_csv_sink(fh, meta)).ratios
-    write_ratio_csv(out.target("ratios.csv"), meta, ratios, mask)
+    write_ratio_csv(out.target("ratios.csv"), meta, ratios, regimes)
     write_ratio_long_csv(out.target("ratios_long.csv"), meta, ratios)
-    if mask is None:
-        return meta.items()
-    regimes = [(regime, m) for regime, m in (("contraction", mask), ("expansion", ~mask))
-               if m.any()]
-    return meta.items() + [(f"mean_R_{r_label(r)}_{regime}", format(row[m].mean(), ".12g"))
-                           for r, row in zip(config.thresholds, ratios) for regime, m in regimes]
+    return meta.items() + [(f"mean_R_{r_label(r)}_{name}", format(row[mask].mean(), ".12g"))
+                           for r, row in zip(config.thresholds, ratios) for name, mask in regimes]
 
 
 def _list_flag(flag: str, text: str, convert, form: str) -> list:
@@ -180,16 +176,17 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
         raise ContractError(f"{flag} repeats the {repeated}")
     panel = load_panel_csv(args.input)
 
-    # the axis held fixed is recorded in the metadata
+    # the axis held fixed is recorded in the metadata, as the settings' meta items give it
     if args.windows is not None:
         band = _resolve_band(args, panel.n)
         metas = {f"W{w}": ResultMeta.of(panel, _config(args, band, w)) for w in settings}
-        fixed_items = band_items(panel.n, band)
+        fixed = [key for key, _ in band_items(panel.n, band)]
     else:
         metas = {f"kl{b.lower}_ku{b.upper}": ResultMeta.of(panel, _config(args, b, args.window))
                  for b in settings}
-        fixed_items = [("window", str(args.window))]
-    thresholds = next(iter(metas.values())).config.thresholds  # checked, -0 read as 0
+        fixed = ["window"]
+    head = next(iter(metas.values()))
+    shared, thresholds = dict(head.items()), head.config.thresholds  # checked, -0 read as 0
 
     # common support: the months every setting has a sample in. A setting's
     # samples are centred on the panel: its first trim + (W - 1)/2 months and
@@ -220,13 +217,9 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
         fh.write(csv_rows(csv_fields(fields), format_g12(pearsons)[:, None]))
 
     return [
-        ("n_series", str(len(panel))),
-        ("n_months", str(panel.n)),
+        *((key, shared[key]) for key in ("n_series", "n_months")),
         ("settings", ",".join(metas)),
-        *fixed_items,
-        ("thresholds", ",".join(map(r_label, thresholds))),
-        ("detrend", str(args.detrend).lower()),
-        ("trim", str(args.trim).lower()),
+        *((key, shared[key]) for key in (*fixed, "thresholds", "detrend", "trim")),
         ("common_months", str(last - first + 1)),
         ("common_first", str(first)),
         ("common_last", str(last)),
@@ -287,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     panel_flags.add_argument("--out", default=".", help="output directory")
     pair_flags = argparse.ArgumentParser(add_help=False)
     pair_flags.add_argument("--r", type=float, action="append",
-                            help="ratio threshold in [0,1], repeatable "
-                                 "(default 0.7 and 0.8)")
+                            help="ratio threshold in [0,1], repeatable (default "
+                                 f"{' and '.join(map(r_label, DEFAULT_THRESHOLDS))})")
     pair_flags.add_argument("--trim", action=argparse.BooleanOptionalAction, default=True,
                             help="drop filter edge effects before pairing")
 

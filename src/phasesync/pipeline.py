@@ -144,16 +144,18 @@ class ResultMeta:
         """Calendar month at which sample idx is centered."""
         return self.anchor + idx
 
-    def contraction_mask(self, calendar: RecessionCalendar) -> np.ndarray:
-        """RecessionCalendar.contraction_mask over the sample months. Raises
-        ContractError when no sample month is a contraction month."""
+    def regimes(self, calendar: RecessionCalendar) -> list[tuple[str, np.ndarray]]:
+        """(name, mask over the samples) of each regime some sample month is in:
+        contraction, the months RecessionCalendar.contraction_mask marks, then
+        expansion, the rest. Raises ContractError when no sample month is a
+        contraction month."""
         mask = calendar.contraction_mask(self.anchor, self.n_samples)
         if not mask.any():
             raise ContractError(
                 f"calendar episodes are disjoint from the result range "
                 f"{self.anchor}..{self.month_of(self.n_samples - 1)}"
             )
-        return mask
+        return [(name, m) for name, m in (("contraction", mask), ("expansion", ~mask)) if m.any()]
 
     def sample_fields(self) -> list[tuple[str, str]]:
         """(t, date) of every sample, the leading fields of each CSV row."""
@@ -333,15 +335,17 @@ def gamma_csv_sink(fh, meta: ResultMeta):
     return long_table_sink(fh, meta, ["pair_i", "pair_j", "gamma2"], meta.pairs)
 
 
-def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, mask=None) -> None:
+def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, regimes=()) -> None:
     """Wide format: one R_<r> column per threshold of meta, from the rows of
-    the (thresholds x samples) ratios; given a contraction mask over the
-    samples, a regime column of contraction or expansion."""
+    the (thresholds x samples) ratios; given meta.regimes(calendar), a regime
+    column naming the regime of each sample."""
     header = [f"R_{r_label(r)}" for r in meta.config.thresholds]
     blocks = [format_g12(ratios.T)]
-    if mask is not None:
+    if regimes:
+        names, masks = zip(*regimes)
         header.append("regime")
-        blocks.append(csv_fields([("contraction" if c else "expansion",) for c in mask]))
+        # the masks cover each sample once, so argmax finds its regime
+        blocks.append(csv_fields([(name,) for name in names])[np.argmax(masks, axis=0)])
     with open(path, "wb") as fh:
         fh.write(sample_rows(fh, meta, header)(*blocks))
 

@@ -15,7 +15,8 @@ import pytest
 import phasesync
 import phasesync.pipeline
 import phasesync.sync
-from phasesync import Month, Panel, RegimeSpec, gen_regime_panel, write_panel_csv
+from phasesync import (FilterBand, Month, Panel, PipelineConfig, RegimeSpec, gen_regime_panel,
+                        load_panel_csv, load_recession_csv, run_pipeline, write_panel_csv)
 from phasesync.cli import main
 
 
@@ -292,6 +293,28 @@ class TestSync:
             month = Month.parse(row[1])
             in_contraction = any(p < month <= t for p, t in episodes)
             assert row[-1] == ("contraction" if in_contraction else "expansion"), row[1]
+
+    def test_regimes_feed_the_regime_column_and_the_means(self, tmp_path):
+        # the seed-7 demo panel with the U.S. calendar: both regimes have sample months
+        gen, out = tmp_path / "gen", tmp_path / "sync"
+        calendar = Path(__file__).resolve().parents[1] / "data" / "us_recessions.csv"
+        assert run("gen", "--regime", "coupled:120,uncoupled:120,coupled:120",
+                   "--members", 10, "--seed", 7, "--out", gen) == 0
+        assert run("sync", gen / "panel.csv", "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", calendar, "--out", out) == 0
+        result = run_pipeline(load_panel_csv(gen / "panel.csv"),
+                              PipelineConfig(band=FilterBand(4, 18), window=13))
+        regimes = result.meta.regimes(load_recession_csv(calendar))
+        assert [name for name, _ in regimes] == ["contraction", "expansion"]
+        labels = np.array([row[-1] for row in read_rows(out / "ratios.csv")[1:]])
+        meta = read_meta(out / "metadata.txt")
+        means = {key: value for key, value in meta.items() if key.startswith("mean_R_")}
+        assert list(means) == [f"mean_R_{r}_{name}" for r in ("0.7", "0.8")
+                               for name, _ in regimes]
+        for name, mask in regimes:
+            assert (labels[mask] == name).all()
+            for r, row in zip(("0.7", "0.8"), result.ratios):
+                assert means[f"mean_R_{r}_{name}"] == format(row[mask].mean(), ".12g")
 
     def test_single_series_fails(self, tmp_path, capsys):
         gen_dir = tmp_path / "gen"

@@ -91,12 +91,13 @@ def test_ratio_long_csv_bytes(result, tmp_path):
 
 @pytest.mark.parametrize("with_labels", [False, True])
 def test_ratio_wide_csv_bytes(result, tmp_path, with_labels):
-    mask = labels = None
+    regimes, labels = (), None
     if with_labels:
         mask = np.arange(result.n_samples) % 3 == 1
+        regimes = [("contraction", mask), ("expansion", ~mask)]
         labels = ["contraction" if c else "expansion" for c in mask]
     path = tmp_path / "ratios.csv"
-    write_ratio_csv(path, result.meta, result.ratios, mask)
+    write_ratio_csv(path, result.meta, result.ratios, regimes)
     thresholds = result.meta.config.thresholds
     expected = [["t", "date"] + [f"R_{format(r, 'g')}" for r in thresholds]
                 + (["regime"] if with_labels else [])]

@@ -27,6 +27,8 @@ BAND = ("--kl", "4", "--ku", "18")
 RUNS = {
     "gen": DEMO,
     "sync": ("sync", "{panel}", *BAND, "--window", "13"),
+    "sync-r-set": ("sync", "{panel}", *BAND, "--window", "13",
+                   "--r", "0.8", "--r", "0.7", "--r", "0.8"),
     "sync-us": ("sync", "{panel}", *BAND, "--window", "13",
                 "--calendar", "{data}/us_recessions.csv"),
     "sync-japan": ("sync", "{panel}", *BAND, "--window", "13",
@@ -159,6 +161,8 @@ GOLDEN = {
     "refused-directory": refused(
         "error: [Errno 21] Is a directory: '{tmp}/out/ratios.csv'\n", {"ratios.csv": "dir"}),
 }
+# --r is a set: sorted, repeats merged, so these are the default thresholds' bytes
+GOLDEN["sync-r-set"] = GOLDEN["sync"]
 
 
 def metadata_digest(path: Path) -> str:

@@ -5,6 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_panel import ONE_EPISODE, calendars
 
 from phasesync import (
     ContractError,
@@ -311,7 +314,7 @@ class TestRatioAbove:
 
 
 class TestAnnotateRecessions:
-    """Regime labels and regime means from ResultMeta.contraction_mask."""
+    """Regime labels and regime means from ResultMeta.regimes."""
 
     CAL = RecessionCalendar(((Month(1990, 7), Month(1991, 3)),))
 
@@ -323,7 +326,7 @@ class TestAnnotateRecessions:
 
     def test_labels(self):
         result = self.result()
-        mask = result.meta.contraction_mask(self.CAL)
+        mask = dict(result.meta.regimes(self.CAL))["contraction"]
         by_month = {result.meta.month_of(idx): bool(c) for idx, c in enumerate(mask)}
         assert by_month[Month(1990, 8)]
         assert by_month[Month(1991, 3)]
@@ -333,27 +336,53 @@ class TestAnnotateRecessions:
 
     def test_regime_means(self):
         result = self.result()
-        mask = result.meta.contraction_mask(self.CAL)
+        regimes = dict(result.meta.regimes(self.CAL))
         for ratio in result.ratios:
             months = [result.meta.month_of(idx) for idx in range(result.n_samples)]
             contraction = [R for R, m in zip(ratio, months)
                            if Month(1990, 7) < m <= Month(1991, 3)]
             expansion = [R for R, m in zip(ratio, months)
                          if not Month(1990, 7) < m <= Month(1991, 3)]
-            assert ratio[mask].mean() == pytest.approx(np.mean(contraction))
-            assert ratio[~mask].mean() == pytest.approx(np.mean(expansion))
+            assert ratio[regimes["contraction"]].mean() == pytest.approx(np.mean(contraction))
+            assert ratio[regimes["expansion"]].mean() == pytest.approx(np.mean(expansion))
 
     def test_disjoint_calendar_rejected(self):
         result = self.result(start=Month(2030, 1))
         with pytest.raises(ContractError,
                            match="disjoint from the result range 2031-08..2038-05"):
-            result.meta.contraction_mask(self.CAL)
+            result.meta.regimes(self.CAL)
 
     def test_rows_iterate_in_order(self):
         result = self.result()
-        mask = result.meta.contraction_mask(self.CAL)
+        mask = dict(result.meta.regimes(self.CAL))["contraction"]
         assert mask.tolist() == [Month(1990, 7) < result.meta.month_of(idx) <= Month(1991, 3)
                                  for idx in range(result.n_samples)]
+
+
+# the examples' samples lie wholly inside, across and wholly after the episode
+@example(ONE_EPISODE, Month(1990, 10), 3)
+@example(ONE_EPISODE, Month(1990, 1), 24)
+@example(ONE_EPISODE, Month(1991, 4), 24)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(calendars(), st.integers(-40, 350).map(lambda k: Month(1990, 1) + k),
+       st.integers(1, 120))
+def test_regimes_split_the_samples(calendar, first, count):
+    # no trim and a 3-month window: count samples, the first centred on first
+    panel = Panel(["a", "b"], first + -1, np.zeros((count + 2, 2)))
+    meta = ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 1), window=3, trim=False))
+    assert (meta.anchor, meta.n_samples) == (first, count)
+    in_contraction = [any(p < first + k <= t for p, t in calendar.episodes)
+                      for k in range(count)]
+    if not any(in_contraction):
+        with pytest.raises(ContractError, match="calendar episodes are disjoint from the "
+                                                "result range"):
+            meta.regimes(calendar)
+        return
+    names, masks = zip(*meta.regimes(calendar))
+    assert names == (("contraction",) if all(in_contraction) else ("contraction", "expansion"))
+    assert all(mask.dtype == bool and mask.shape == (count,) and mask.any() for mask in masks)
+    assert (np.sum(masks, axis=0) == 1).all()  # disjoint, and every sample in one
+    assert masks[0].tolist() == in_contraction
 
 
 class TestResultOutputs:
@@ -398,7 +427,8 @@ class TestResultOutputs:
     def test_ratio_wide_with_labels(self, result, tmp_path):
         path = tmp_path / "ratios.csv"
         mask = np.arange(result.n_samples) < 5
-        write_ratio_csv(path, result.meta, result.ratios, mask)
+        write_ratio_csv(path, result.meta, result.ratios,
+                        [("contraction", mask), ("expansion", ~mask)])
         rows = read_rows(path)
         assert rows[0][-1] == "regime"
         assert [row[-1] for row in rows[1:]] == ["contraction"] * 5 + ["expansion"] * (

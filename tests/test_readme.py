@@ -32,6 +32,7 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch):
 
 def test_library_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").symlink_to(ROOT / "data")
     assert main(["gen", "--regime", "coupled:120,uncoupled:120,coupled:120",
                  "--members", "10", "--seed", "7", "--out", "demo"]) == 0
     exec(compile(fenced_block("Quick start (library)", "python"), str(README), "exec"), {})
