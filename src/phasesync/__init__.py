@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in {
     "pipeline": "PipelineConfig ResultMeta SyncResult ratio_above run_pipeline write_metadata",
     "spectral": "bandpass detrend_linear hilbert instantaneous_phase",
     "sync": "sync_index_windowed",
-    "synthetic": "DETUNE_WALK_STEP RegimeSpec gen_regime_panel gen_sine",
+    "synthetic": "DETUNE_WALK_STEP RegimeSpec gen_regime_panel gen_sine regime_phases",
 }.items() for name in names.split()}
 
 __all__ = [*_EXPORTS, "__version__"]

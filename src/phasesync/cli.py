@@ -188,13 +188,11 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
     head = next(iter(metas.values()))
     shared, thresholds = dict(head.items()), head.config.thresholds  # checked, -0 read as 0
 
-    # common support: the months every setting has a sample in. A setting's
-    # samples are centred on the panel: its first trim + (W - 1)/2 months and
-    # as many last ones have none. So the settings' sample months nest, and the
-    # setting with the largest trim + (W - 1)/2 bounds the common ones, whichever
-    # axes vary: n - 2 trim - W + 1 >= 1 months, as ResultMeta.of has checked
-    first = max(meta.anchor for meta in metas.values())
-    last = min(meta.month_of(meta.n_samples - 1) for meta in metas.values())
+    # common support: the months every setting has a sample in. A setting's samples
+    # are centred on the panel, past its first and last trim + (W - 1)/2 months, so the
+    # settings' sample months nest, and the widest setting, whose anchor is the latest,
+    # has exactly the common ones, whichever axes vary: >= 1, as ResultMeta.of checked
+    widest = max(metas.values(), key=lambda meta: meta.anchor)
     band = phases = None  # a --windows sweep filters its one band once
     common = []  # each setting's label and R over the common months
     for label, meta in metas.items():
@@ -202,7 +200,8 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
             band, phases = meta.config.band, panel_phases(panel, meta)
         ratios = score_pairs(phases, meta.config.window, thresholds)
         write_ratio_csv(out.target(f"ratios_{label}.csv"), meta, ratios)
-        common.append((label, ratios[:, first - meta.anchor:last - meta.anchor + 1]))
+        start = widest.anchor - meta.anchor
+        common.append((label, ratios[:, start:start + widest.n_samples]))
 
     fields, pearsons = [], []
     for (label_a, ratios_a), (label_b, ratios_b) in combinations(common, 2):
@@ -220,9 +219,9 @@ def cmd_sweep(args, out: StagedOutputs) -> list[tuple[str, str]]:
         *((key, shared[key]) for key in ("n_series", "n_months")),
         ("settings", ",".join(metas)),
         *((key, shared[key]) for key in (*fixed, "thresholds", "detrend", "trim")),
-        ("common_months", str(last - first + 1)),
-        ("common_first", str(first)),
-        ("common_last", str(last)),
+        ("common_months", str(widest.n_samples)),
+        ("common_first", str(widest.anchor)),
+        ("common_last", str(widest.month_of(widest.n_samples - 1))),
     ]
 
 

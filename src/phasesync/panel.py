@@ -95,11 +95,8 @@ class Panel:
         ids = tuple(self.ids)
         if not ids:
             raise ContractError("panel needs at least one series")
-        dup = first_repeated(ids)
-        if dup is not None:
-            raise ContractError(f"duplicate series id '{dup}'")
-        if "" in ids:
-            raise ContractError("blank series id")
+        if (fault := _id_fault(ids)) is not None:
+            raise ContractError(fault)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(ids):
             raise ContractError(
@@ -277,15 +274,19 @@ def _header_fault(header: list[str]) -> str | None:
     """What is wrong with a panel CSV's header row, or None."""
     if not header or header[0] != "date":
         return "header must start with 'date'"
-    ids = header[1:]
-    if not ids:
+    if len(header) == 1:
         return "no series columns after 'date'"
+    return _id_fault(header[1:])
+
+
+def _id_fault(ids) -> str | None:
+    """The fault of the first id, in order, that repeats another or is blank, or None."""
     dup = first_repeated(ids)
     for sid in ids:
         if sid == dup:
-            return f"duplicate column id '{sid}'"
+            return f"duplicate series id '{sid}'"
         if not sid:
-            return "blank column id"
+            return "blank series id"
     return None
 
 

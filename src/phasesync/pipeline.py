@@ -94,14 +94,17 @@ class ResultMeta:
     def of(cls, panel: Panel, config: PipelineConfig) -> "ResultMeta":
         """The geometry of config run on panel; the trim offset per end is the
         band's shortest period rounded half up when config.trim, else 0.
-        Raises ContractError for < 2 series, or a band or window that does
-        not fit."""
+        Raises ContractError for < 2 series, a band or window that does not
+        fit, or a band of the Nyquist mode alone, whose phase is 0 or -pi."""
         if len(panel) < 2:
             raise ContractError(
                 f"need >= 2 series for pairwise synchronization, got {len(panel)}"
             )
         n, band = panel.n, config.band
         shortest, _ = periods_of_band(n, band)
+        if 2 * band.lower == n:
+            raise ContractError(f"band ({band.lower}, {band.upper}) holds only the Nyquist "
+                                f"mode of a {n}-month panel, whose phase is 0 or -pi")
         trim_offset = round_half_up(shortest) if config.trim else 0
         usable = max(0, n - 2 * trim_offset)
         if usable < config.window:
@@ -227,12 +230,15 @@ def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
 
 
 def write_metadata(path, items) -> None:
-    """Plain-text sidecar, one `key = value` per line. A key or value with a line break
-    str.splitlines() sees would forge lines, so it raises ContractError before any write."""
+    """UTF-8 sidecar, one `key = value` per line. A key or value with a line break
+    str.splitlines() sees would forge lines, and one that is not UTF-8 text (a path of
+    other bytes) cannot be written: either raises ContractError before any write."""
     lines = [(key, f"{key} = {value}") for key, value in items]
     for key, line in lines:
         if line.splitlines() != [line]:
             raise ContractError(f"metadata {key!r}: a key or value holds a line break")
+        if line.encode("utf-8", "replace").decode("utf-8") != line:  # a lone surrogate
+            raise ContractError(f"metadata {key!r}: a key or value is not UTF-8 text")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for _, line in lines)
 

@@ -107,8 +107,7 @@ def _reflect(z: np.ndarray | float):
     return np.where(z < -1.0, -2.0 - z, z)
 
 
-def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
-                     return_phases: bool = False):
+def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1)) -> Panel:
     """Generate an m-member panel with known synchronization regimes.
 
     Latent phase construction, one draw sequence per panel:
@@ -123,20 +122,30 @@ def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
        by noise_sd and added to sin(phase).
 
     Phase paths are continuous across segment boundaries; only the detune
-    re-randomizes. With return_phases=True the latent phase matrix is
-    returned alongside the panel, which is what ground-truth checks should
-    consume (observed values add noise on top).
-
-    Returns
-    -------
-    Panel, or (Panel, phases) when return_phases is set.
+    re-randomizes. Ground-truth checks read the latent phases, free of the
+    observation noise, from regime_phases(m, spec).
     """
+    theta, rng = _draw_phases(m, spec)
+    values = np.sin(theta)
+    if spec.noise_sd > 0:
+        values = values + spec.noise_sd * rng.standard_normal(size=theta.shape)
+
+    width = max(2, len(str(len(theta))))
+    return Panel([f"m{i + 1:0{width}d}" for i in range(len(theta))], start, values.T)
+
+
+def regime_phases(m: int, spec: RegimeSpec) -> np.ndarray:
+    """The (m, total) latent phases of gen_regime_panel(m, spec): draws 1 and 2."""
+    return _draw_phases(m, spec)[0]
+
+
+def _draw_phases(m: int, spec: RegimeSpec):
+    """(regime_phases(m, spec), the generator seeded with spec.seed that drew them)."""
     if not (is_integer(m) and m >= 2):
         raise ContractError(f"need at least 2 members, got {m!r}")
     m = int(m)
     rng = np.random.default_rng(spec.seed)
-    total = spec.total
-    theta = np.empty((m, total))
+    theta = np.empty((m, spec.total))
     theta[:, 0] = rng.uniform(-np.pi, np.pi, size=m)
     base_step = 2.0 * np.pi / spec.base_period
 
@@ -149,13 +158,4 @@ def gen_regime_panel(m: int, spec: RegimeSpec, start: Month = Month(1980, 1),
             detune = draw if detune is None else _reflect(detune + DETUNE_WALK_STEP * draw)
             theta[:, t] = theta[:, t - 1] + base_step * (1.0 + spec.jitter * detune)
         offset += length
-
-    values = np.sin(theta)
-    if spec.noise_sd > 0:
-        values = values + spec.noise_sd * rng.standard_normal(size=(m, total))
-
-    width = max(2, len(str(m)))
-    panel = Panel([f"m{i + 1:0{width}d}" for i in range(m)], start, values.T)
-    if return_phases:
-        return panel, theta
-    return panel
+    return theta, rng

@@ -742,6 +742,25 @@ class TestMainContract:
             "error: metadata 'input': a key or value holds a line break\n")
         assert list(out.iterdir()) == []
 
+    # a name holding bytes that are not UTF-8 decodes to lone surrogates, which
+    # metadata.txt, a UTF-8 file, cannot hold
+    @pytest.mark.parametrize("key", ["input", "calendar"])
+    def test_non_utf8_input_path_is_refused(self, regime_panel, tmp_path, capsys, key):
+        inputs = {"input": regime_panel,
+                  "calendar": Path(__file__).resolve().parents[1] / "data" / "us_recessions.csv"}
+        try:
+            path = tmp_path / os.fsdecode(b"p\xff.csv")
+            path.write_bytes(inputs[key].read_bytes())
+        except (OSError, UnicodeError):
+            pytest.skip("the file system takes only UTF-8 names")
+        inputs[key] = path
+        out = tmp_path / "out"
+        assert run("sync", inputs["input"], "--kl", 4, "--ku", 18, "--window", 13,
+                   "--calendar", inputs["calendar"], "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: metadata '{key}': a key or value is not UTF-8 text\n")
+        assert list(out.iterdir()) == []
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
             run("frobnicate")

@@ -52,6 +52,7 @@ RUNS = {
     "refused-calendar-overlap": ("sync", "{panel}", *BAND, "--window", "13",
                                  "--calendar", "{overlap}"),
     "refused-zero-amplitude": ("sync", "{flat}", *BAND, "--window", "13"),
+    "refused-nyquist": ("sync", "{panel}", "--kl", "180", "--ku", "180", "--window", "13"),
     "refused-directory": ("sync", "{panel}", *BAND, "--window", "13"),
 }
 
@@ -158,6 +159,9 @@ GOLDEN = {
         "error: {overlap}: row 3: episode starting 1991-01 overlaps previous trough 1991-03\n"),
     "refused-zero-amplitude": refused(
         "error: series 'm02': zero amplitude everywhere; phase undefined\n"),
+    "refused-nyquist": refused(
+        "error: band (180, 180) holds only the Nyquist mode of a 360-month panel, "
+        "whose phase is 0 or -pi\n"),
     "refused-directory": refused(
         "error: [Errno 21] Is a directory: '{tmp}/out/ratios.csv'\n", {"ratios.csv": "dir"}),
 }

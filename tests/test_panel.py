@@ -307,13 +307,13 @@ class TestPanelCsv:
     def test_duplicate_column(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,a,a\n2000-01,1,2\n2000-02,3,4\n")
-        with pytest.raises(IngestionError, match="duplicate column id 'a'"):
+        with pytest.raises(IngestionError, match="duplicate series id 'a'"):
             load_panel_csv(path)
 
     @pytest.mark.parametrize("header, message", [
-        ("date,b,a,a,b", "duplicate column id 'b'"),
-        ("date,a,,a", "duplicate column id 'a'"),
-        ("date,,a,a", "blank column id"),
+        ("date,b,a,a,b", "duplicate series id 'b'"),
+        ("date,a,,a", "duplicate series id 'a'"),
+        ("date,,a,a", "blank series id"),
         ("date", "no series columns after 'date'"),
     ])
     def test_first_header_problem_in_header_order(self, tmp_path, header, message):

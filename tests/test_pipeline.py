@@ -118,6 +118,21 @@ class TestPipelineConfig:
         with pytest.raises(ContractError, match="window 3 does not fit the 0 months"):
             ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 1), window=3))
 
+    def test_nyquist_mode_alone_is_refused(self):
+        # the Nyquist mode's Hilbert image is 0 up to rounding, so its phase is
+        # 0 or -pi in every month and every pair would lock
+        panel = small_panel(3, n=60)
+        band = FilterBand(30, 30)
+        phase = instantaneous_phase(bandpass(panel.values[:, 0], band))
+        assert np.abs(np.sin(phase)).max() < 1e-12
+        with pytest.raises(ContractError, match=re.escape(
+                "band (30, 30) holds only the Nyquist mode of a 60-month panel, "
+                "whose phase is 0 or -pi")):
+            ResultMeta.of(panel, PipelineConfig(band=band, window=13))
+        # a band reaching below it runs, and so does mode 30 of 61 months
+        assert ResultMeta.of(panel, PipelineConfig(band=FilterBand(29, 30), window=13))
+        assert ResultMeta.of(small_panel(3, n=61), PipelineConfig(band=band, window=13))
+
     def test_whole_float_window_runs_as_its_int(self, tmp_path):
         panel = small_panel(3)
         as_int = run_pipeline(panel, PipelineConfig(band=BAND, window=13))

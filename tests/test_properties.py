@@ -10,11 +10,12 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasesync.cli import main
+from phasesync.errors import ContractError, IngestionError
 from phasesync.panel import (
     FilterBand,
     Month,
@@ -215,6 +216,31 @@ def test_panel_csv_round_trip(panel):
         want = [[float(format(v, ".12g")) for v in row] for row in panel.values]
         np.testing.assert_array_equal(loaded.values, want)
         assert second.read_bytes() == first.read_bytes()
+
+
+def refusal(make, error):
+    """str() of the error make() raises, or None if it raises none."""
+    try:
+        make()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@example(["", "a", "a"])
+@given(st.lists(st.sampled_from(["", "a", "b"]), min_size=1, max_size=5))
+def test_panel_and_reader_refuse_the_same_ids(ids):
+    # one id rule: the constructor refuses exactly the headers the reader does,
+    # with the fault the reader reports on row 1
+    built = refusal(lambda: Panel(ids, Month(2000, 1), np.zeros((2, len(ids)))), ContractError)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "panel.csv")
+        zeros = ",0" * len(ids)
+        text = f"date,{','.join(ids)}\n2000-01{zeros}\n2000-02{zeros}\n"
+        path.write_text(text, encoding="utf-8")
+        read = refusal(lambda: load_panel_csv(path), IngestionError)
+    assert read == (None if built is None else f"{path}: row 1: {built}")
 
 
 @st.composite

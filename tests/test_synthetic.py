@@ -12,6 +12,7 @@ from phasesync import (
     RegimeSpec,
     gen_regime_panel,
     gen_sine,
+    regime_phases,
     load_panel_csv,
     run_pipeline,
     sync_index_windowed,
@@ -159,7 +160,7 @@ class TestGenRegimePanel:
 
     def test_values_are_sine_of_phases_without_noise(self):
         spec = RegimeSpec(segments=((50, "uncoupled"),), noise_sd=0.0, seed=4)
-        panel, theta = gen_regime_panel(3, spec, return_phases=True)
+        panel, theta = gen_regime_panel(3, spec), regime_phases(3, spec)
         assert theta.shape == (3, 50)
         np.testing.assert_array_equal(panel.values, np.sin(theta).T)
 
@@ -169,7 +170,7 @@ class TestGenRegimePanel:
             segments=((60, "coupled"), (60, "uncoupled"), (60, "coupled")),
             base_period=20.0, jitter=jitter, seed=9,
         )
-        _, theta = gen_regime_panel(4, spec, return_phases=True)
+        theta = regime_phases(4, spec)
         steps = np.abs(np.diff(theta, axis=1))
         bound = 2.0 * np.pi * (1.0 / spec.base_period + spec.jitter)
         assert steps.max() <= bound + 1e-12
@@ -179,7 +180,7 @@ class TestGenRegimePanel:
             segments=((80, "coupled"), (80, "uncoupled"), (80, "coupled")),
             seed=3,
         )
-        _, theta = gen_regime_panel(4, spec, return_phases=True)
+        theta = regime_phases(4, spec)
         psi = theta[0] - theta[1]
         # within each coupled segment the difference must stay at its
         # entry value; across the uncoupled segment it must actually move
@@ -201,7 +202,7 @@ class TestGenRegimePanel:
         # 3-sigma band uses an effective count of one per window length to
         # account for overlapping windows
         spec = RegimeSpec(segments=((2400, "uncoupled"),), jitter=80.0, seed=5)
-        _, theta = gen_regime_panel(8, spec, return_phases=True)
+        theta = regime_phases(8, spec)
         chunks = []
         for i in range(8):
             for j in range(i + 1, 8):
@@ -227,5 +228,8 @@ class TestGenRegimePanel:
 
     @pytest.mark.parametrize("m", [2.5, True, "3"])
     def test_member_count_that_is_not_an_integer_named(self, m):
-        with pytest.raises(ContractError, match=re.escape(f"need at least 2 members, got {m!r}")):
-            gen_regime_panel(m, RegimeSpec(segments=((30, "coupled"),)))
+        spec = RegimeSpec(segments=((30, "coupled"),))
+        message = f"need at least 2 members, got {m!r}"
+        for generate in (gen_regime_panel, regime_phases):
+            with pytest.raises(ContractError, match=re.escape(message)):
+                generate(m, spec)
