@@ -38,6 +38,7 @@ from .pipeline import (
     band_items,
     filter_column,
     gamma_csv_sink,
+    metadata_lines,
     panel_phases,
     r_label,
     run_pipeline,
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
             if Path(path).exists() and not Path(path).is_file():
                 raise ContractError(f"{_INPUT_FLAGS[key]} {path} is not a regular file: "
                                     "it is read twice")
+        # a path metadata.txt cannot hold fails before any work, not after it
+        metadata_lines((key, str(path)) for key, path in inputs.items())
         with StagedOutputs(args.out, inputs.values()) as out:
             if args.command == "gen":
                 cmd_gen(args, parser, out)

@@ -1,6 +1,11 @@
 """CSV text: fields quoted as csv.writer quotes them, and numbers as
 ``"%.12g" % v`` writes them, built as numpy byte arrays a block of rows at
 a time.
+
+csv_rows joins blocks of fields byte by byte. A long table, one number
+per row, is built from whole fields instead (csv_long_rows): each row's
+leading fields are joined once into one fixed-width void item
+(csv_joined), and a row is four item copies.
 """
 
 from __future__ import annotations
@@ -162,3 +167,26 @@ def csv_rows(*blocks) -> bytes:
         start += span
     text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # over the row's last comma
     return text.tobytes().translate(None, bytes([_PAD]))
+
+
+def csv_joined(block) -> np.ndarray:
+    """The fields of a (..., fields, width) block of csv_fields, each followed
+    by a comma, as one 0xFF-padded void item per leading index."""
+    *lead, count, width = block.shape
+    text = np.full((*lead, count, width + 1), ord(","), np.uint8)
+    text[..., :width] = block
+    return text.reshape(*lead, count * (width + 1)).view(f"V{count * (width + 1)}")[..., 0]
+
+
+def csv_long_rows(lead, keys, cells) -> bytes:
+    """CSV rows lead[j], keys[i], cells[i, j], CRLF for every key i and
+    sample j, in C order: lead and keys are csv_joined items, cells the
+    (keys, samples, G12_WIDTH) cells of format_g12. Each field is copied as
+    one item into one structured array, which is written as bytes once."""
+    rows = np.empty(cells.shape[:2], [("lead", lead.dtype), ("key", keys.dtype),
+                                      ("cell", f"V{G12_WIDTH}"), ("end", "V2")])
+    rows["lead"] = lead
+    rows["key"] = keys[:, None]
+    rows["cell"] = cells.view(f"V{G12_WIDTH}")[..., 0]
+    rows["end"] = np.void(b"\r\n")
+    return rows.tobytes().translate(None, bytes([_PAD]))

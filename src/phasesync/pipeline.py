@@ -15,13 +15,12 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
 
-from .csvtext import FORMAT_CHUNK, csv_fields, csv_rows, format_g12
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_joined, csv_long_rows, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
 from .panel import (FilterBand, Month, Panel, RecessionCalendar, month_labels,
                     periods_of_band, round_half_up)
@@ -229,18 +228,26 @@ def band_items(n: int, band: FilterBand) -> list[tuple[str, str]]:
     ]
 
 
-def write_metadata(path, items) -> None:
-    """UTF-8 sidecar, one `key = value` per line. A key or value with a line break
-    str.splitlines() sees would forge lines, and one that is not UTF-8 text (a path of
-    other bytes) cannot be written: either raises ContractError before any write."""
-    lines = [(key, f"{key} = {value}") for key, value in items]
-    for key, line in lines:
+def metadata_lines(items) -> list[str]:
+    """The sidecar's lines, one `key = value` per item. A key or value with a line
+    break str.splitlines() sees would forge lines, and one that is not UTF-8 text (a
+    path of other bytes) cannot be written: either raises ContractError naming the key."""
+    lines = []
+    for key, value in items:
+        line = f"{key} = {value}"
         if line.splitlines() != [line]:
             raise ContractError(f"metadata {key!r}: a key or value holds a line break")
         if line.encode("utf-8", "replace").decode("utf-8") != line:  # a lone surrogate
             raise ContractError(f"metadata {key!r}: a key or value is not UTF-8 text")
+        lines.append(line)
+    return lines
+
+
+def write_metadata(path, items) -> None:
+    """UTF-8 sidecar of metadata_lines(items), which raise before any write."""
+    lines = metadata_lines(items)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for _, line in lines)
+        fh.writelines(line + "\n" for line in lines)
 
 
 class StagedOutputs:
@@ -311,27 +318,26 @@ class StagedOutputs:
             (self.stage / name).replace(self.out_dir / name)
 
 
-def sample_rows(fh, meta: ResultMeta, header):
+def sample_rows(fh, meta: ResultMeta, header) -> np.ndarray:
     """Write the CSV header t,date,*header to the binary file fh and return
-    rows(*blocks), the csv_rows of meta's samples' (t, date) fields and the
-    blocks, whose leading axes broadcast against the samples axis."""
+    the csv_fields of meta's samples' (t, date), which lead every row."""
     fh.write(csv_rows(csv_fields([["t", "date", *header]])))
-    return partial(csv_rows, csv_fields(meta.sample_fields()))
+    return csv_fields(meta.sample_fields())
 
 
 def long_table_sink(fh, meta: ResultMeta, header, keys):
     """Write the CSV header t,date,*header to the binary file fh and return a sink
     that writes each (rows x samples) block it gets, a few thousand values at a time:
     each block row, led by the fields of the next of keys, is one CSV row per sample."""
-    rows = sample_rows(fh, meta, header)
+    lead = csv_joined(sample_rows(fh, meta, header))
     keys = iter(keys)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
 
     def write_block(block: np.ndarray) -> None:
         for start in range(0, len(block), step):
             chunk = block[start:start + step]
-            names = csv_fields(islice(keys, len(chunk)))
-            fh.write(rows(names[:, None], format_g12(chunk)[..., None, :]))
+            names = csv_joined(csv_fields(islice(keys, len(chunk))))
+            fh.write(csv_long_rows(lead, names, format_g12(chunk)))
 
     return write_block
 
@@ -353,7 +359,7 @@ def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, regimes=()) -> N
         # the masks cover each sample once, so argmax finds its regime
         blocks.append(csv_fields([(name,) for name in names])[np.argmax(masks, axis=0)])
     with open(path, "wb") as fh:
-        fh.write(sample_rows(fh, meta, header)(*blocks))
+        fh.write(csv_rows(sample_rows(fh, meta, header), *blocks))
 
 
 def write_ratio_long_csv(path, meta: ResultMeta, ratios: np.ndarray) -> None:

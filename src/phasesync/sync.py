@@ -9,12 +9,17 @@ which is 1 when the difference is constant and has expectation 1/W for W
 i.i.d. uniform phases. The windowed variant slides a centered odd-length
 window over psi; score_pairs scores every pair of a panel's phases, one
 member's pairs at a time, and counts the pairs locked at each threshold.
+
+Each window's sums of cos psi and sin psi are added in one stated order,
+that of numpy's pairwise summation of one slice (_window_sums), so the
+bits of gamma2 depend on that order, not on how numpy iterates a
+reduction; on numpy 2.4 they equal those of
+sliding_window_view(x, W).mean(axis=-1).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 from .panel import is_integer
@@ -30,13 +35,48 @@ def check_window(window) -> int:
     return int(window)
 
 
+def _window_sums(x: np.ndarray, window: int) -> np.ndarray:
+    """The sum of every length-window slice of x's last axis, each added in
+    the order numpy's pairwise summation adds one slice:
+
+    - window < 8: left to right;
+    - 8 <= window <= 128: eight accumulators, r_k adding elements k, k + 8,
+      ... of the first 8 * (window // 8) from left to right, then
+      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+      remaining elements from left to right;
+    - window > 128: the sum of the first h = window // 2 - (window // 2) % 8
+      elements plus the sum of the rest, each added by these rules.
+
+    Neighbouring windows share partial sums: accumulator r_k of the window
+    at i is r_0 of the window at i + k, so each stage of the 8-way tree is
+    one add of shifted slices over the whole array. Only a slice summing
+    to -0 can differ from numpy's, which starts from +0.
+    """
+    m = x.shape[-1] - window + 1
+    if window > 128:
+        half = window // 2 - window // 2 % 8
+        return _window_sums(x, half)[..., :m] + _window_sums(x[..., half:], window - half)
+    if window < 8:
+        return sum((x[..., k:k + m] for k in range(1, window)), start=x[..., :m])
+    blocks = window // 8
+    span = x.shape[-1] - 8 * (blocks - 1)  # starts of r_0 any window uses: m + 7 or more
+    r0 = sum((x[..., 8 * k:8 * k + span] for k in range(1, blocks)), start=x[..., :span])
+    pairs = r0[..., :m + 6] + r0[..., 1:m + 7]  # r0 + r1
+    quads = pairs[..., :m + 4] + pairs[..., 2:m + 6]  # (r0 + r1) + (r2 + r3)
+    total = quads[..., :m] + quads[..., 4:m + 4]
+    for k in range(8 * blocks, window):
+        total += x[..., k:k + m]
+    return total
+
+
 def windowed_resultant_sq(psi, window: int) -> np.ndarray:
     """Squared mean resultant of every length-`window` slice of psi's last axis.
 
-    Values lie in [0, 1]. Each slice is summed on its own, so nothing drifts.
+    Values lie in [0, 1]. Each slice is summed on its own (_window_sums),
+    so nothing drifts.
     """
-    mean_c = sliding_window_view(np.cos(psi), window, axis=-1).mean(axis=-1)
-    mean_s = sliding_window_view(np.sin(psi), window, axis=-1).mean(axis=-1)
+    mean_c = _window_sums(np.cos(psi), window) / window
+    mean_s = _window_sums(np.sin(psi), window) / window
     return np.minimum(mean_c * mean_c + mean_s * mean_s, 1.0)
 
 

@@ -733,19 +733,23 @@ class TestMainContract:
     # every line break str.splitlines() sees: written as is, the path would
     # add a forged 'nel = x.csv' line to metadata.txt
     @pytest.mark.parametrize("brk", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
-    def test_line_break_in_input_path_is_refused(self, regime_panel, tmp_path, capsys, brk):
+    def test_line_break_in_input_path_is_refused(self, regime_panel, tmp_path, capsys, brk,
+                                                 kernel_calls):
         panel = tmp_path / f"pa{brk}nel = x.csv"
         panel.write_bytes(regime_panel.read_bytes())
         out = tmp_path / "out"
+        out.mkdir()
         assert run("sync", panel, "--kl", 4, "--ku", 18, "--window", 13, "--out", out) == 1
         assert capsys.readouterr().err == (
             "error: metadata 'input': a key or value holds a line break\n")
+        assert kernel_calls == []  # refused before any work
         assert list(out.iterdir()) == []
 
     # a name holding bytes that are not UTF-8 decodes to lone surrogates, which
     # metadata.txt, a UTF-8 file, cannot hold
     @pytest.mark.parametrize("key", ["input", "calendar"])
-    def test_non_utf8_input_path_is_refused(self, regime_panel, tmp_path, capsys, key):
+    def test_non_utf8_input_path_is_refused(self, regime_panel, tmp_path, capsys, key,
+                                            kernel_calls):
         inputs = {"input": regime_panel,
                   "calendar": Path(__file__).resolve().parents[1] / "data" / "us_recessions.csv"}
         try:
@@ -755,10 +759,12 @@ class TestMainContract:
             pytest.skip("the file system takes only UTF-8 names")
         inputs[key] = path
         out = tmp_path / "out"
+        out.mkdir()
         assert run("sync", inputs["input"], "--kl", 4, "--ku", 18, "--window", 13,
                    "--calendar", inputs["calendar"], "--out", out) == 1
         assert capsys.readouterr().err == (
             f"error: metadata '{key}': a key or value is not UTF-8 text\n")
+        assert kernel_calls == []  # refused before any work
         assert list(out.iterdir()) == []
 
     def test_unknown_command(self):

@@ -23,8 +23,9 @@ from phasesync import (
     write_panel_csv,
 )
 from phasesync.cli import main
-from phasesync.csvtext import csv_fields, csv_rows, format_g12
-from phasesync.pipeline import gamma_csv_sink, write_ratio_csv, write_ratio_long_csv
+from phasesync.csvtext import FORMAT_CHUNK, csv_fields, csv_rows, format_g12
+from phasesync.pipeline import (ResultMeta, gamma_csv_sink, r_label, write_ratio_csv,
+                                write_ratio_long_csv)
 
 # ids that csv.writer quotes, or that contain the %-template's own marker
 IDS = ("a,b", 'q"x', "p%d", "100%", "line\nbreak", "cr\rx", " sp", "plain")
@@ -77,6 +78,58 @@ def test_gamma_csv_bytes(result, tmp_path):
         for idx, g in enumerate(row):
             expected.append(sample_fields(result, idx) + [id_i, id_j, format(g, ".12g")])
     assert path.read_bytes() == writer_bytes(expected)
+
+
+def csv_rows_long_table(meta, header, keys, block) -> bytes:
+    """A long table as csv_rows writes it, joining every field byte by byte:
+    the oracle of long_table_sink, which copies whole fields."""
+    lead = csv_fields(meta.sample_fields())
+    return (csv_rows(csv_fields([["t", "date", *header]]))
+            + csv_rows(lead, csv_fields(keys)[:, None], format_g12(block)[..., None, :]))
+
+
+def long_table_meta(ids, n_samples, window=13):
+    config = PipelineConfig(band=FilterBand(2, 9), window=window)
+    return ResultMeta(config, tuple(ids), n_samples + window - 1, Month(1990, 1), 0)
+
+
+def long_table_values(rows, n_samples, seed=3):
+    """gamma2-like values, with cells format_g12 leaves to "%.12g": exactly 0,
+    below 1e-4 and exactly 1."""
+    values = np.random.default_rng(seed).uniform(size=(rows, n_samples))
+    values.ravel()[::7] = 0.0
+    values.ravel()[1::7] = 3.25e-5
+    values.ravel()[2::7] = 1.0
+    return values
+
+
+@pytest.mark.parametrize("ids, n_samples", [
+    (IDS, 48),
+    # UTF-8 of several widths, and ids of different lengths in one chunk
+    (("é", "東京都", "a", "long,ü", 'z"'), 30),
+    # more samples than FORMAT_CHUNK: one row per chunk
+    (("a", "bb", "c,c"), FORMAT_CHUNK + 3),
+], ids=["quoted", "non-ascii", "row-per-chunk"])
+def test_long_table_sink_matches_csv_rows(ids, n_samples):
+    meta = long_table_meta(ids, n_samples)
+    values = long_table_values(meta.n_pairs, n_samples)
+    fh = io.BytesIO()
+    sink = gamma_csv_sink(fh, meta)
+    start = 0
+    for i in range(len(ids) - 1):  # in member blocks, as score_pairs sends them
+        sink(values[start:start + len(ids) - 1 - i])
+        start += len(ids) - 1 - i
+    header = ["pair_i", "pair_j", "gamma2"]
+    assert fh.getvalue() == csv_rows_long_table(meta, header, meta.pairs, values)
+
+
+def test_ratio_long_sink_matches_csv_rows(tmp_path):
+    meta = long_table_meta(("x", "y"), 100)
+    ratios = long_table_values(len(meta.config.thresholds), 100)
+    write_ratio_long_csv(tmp_path / "ratios_long.csv", meta, ratios)
+    labels = [(r_label(r),) for r in meta.config.thresholds]
+    assert (tmp_path / "ratios_long.csv").read_bytes() == csv_rows_long_table(
+        meta, ["r", "R"], labels, ratios)
 
 
 def test_ratio_long_csv_bytes(result, tmp_path):

@@ -33,6 +33,9 @@ RUNS = {
                 "--calendar", "{data}/us_recessions.csv"),
     "sync-japan": ("sync", "{panel}", *BAND, "--window", "13",
                    "--calendar", "{data}/japan_recessions.csv"),
+    # with W = 13 these cover each branch of sync._window_sums' summation order
+    "sync-w7": ("sync", "{panel}", *BAND, "--window", "7"),
+    "sync-w131": ("sync", "{panel}", *BAND, "--window", "131"),
     "sync-raw": ("sync", "{panel}", *BAND, "--window", "13", "--no-trim", "--no-detrend",
                  "--r", "0.5"),
     "sweep-windows": ("sweep", "{panel}", *BAND, "--windows", "11,13,15"),
@@ -101,6 +104,26 @@ GOLDEN = {
             "71e147ed57d869e7f2fc5756987507fc77231eb32528b833cb8fce579bed23bc",
         "ratios_long.csv":
             "c7dbe9c466fc9c68d5e4339c9b8b5ea46f9b996d5ed231fab9137aceb78202c0",
+    }),
+    "sync-w7": written({
+        "gamma2.csv":
+            "6a9804021205ef4c4eaa8b3d4fb54649d1a2ae379db34b80e856799d940254d4",
+        "metadata.txt":
+            "aa1d9d988953b7890c46448ef60a6d1ab3e45d1675a6378334017ce0dee62313",
+        "ratios.csv":
+            "59ee8cedd3c7c22fc11e502c6b45c00a96daa8beb780cb9f0a766f2105628df2",
+        "ratios_long.csv":
+            "bb6d5c1a63a9564506839926852729c6a510c2542aa7b5a7cc696b9ccd98c303",
+    }),
+    "sync-w131": written({
+        "gamma2.csv":
+            "fe5f134b07ff1f55eba6f3354f9ec4273b18d941bcca2611ec7f286c2f925b49",
+        "metadata.txt":
+            "9823f26a36bd53aefade21da6867540d3ac7cc4f5b61f4317f251700747e93af",
+        "ratios.csv":
+            "8585d6998db8ce17af578ccacc13e0771ee8632262a7db24ff036ae868eb317f",
+        "ratios_long.csv":
+            "72bd1a42d78efbb9696b7f3696787588441efdbadb83a14596d5849f91b2e72c",
     }),
     "sync-raw": written({
         "gamma2.csv":

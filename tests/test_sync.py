@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from phasesync import (
     ContractError,
@@ -7,7 +8,7 @@ from phasesync import (
     instantaneous_phase,
     sync_index_windowed,
 )
-from phasesync.sync import windowed_resultant_sq
+from phasesync.sync import _window_sums, windowed_resultant_sq
 
 
 def wrap(psi):
@@ -44,6 +45,77 @@ class TestWindowedResultant:
             assert np.all(got <= 1.0)
             np.testing.assert_allclose(got, 1.0, atol=1e-12)
 
+
+
+def scalar_sum(values):
+    """sync._window_sums' summation order for one slice, in Python floats."""
+    n = len(values)
+    if n < 8:
+        total = values[0]
+        for v in values[1:]:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        i = 8
+        while i < n - n % 8:
+            for k in range(8):
+                r[k] += values[i + k]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[i:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return scalar_sum(values[:half]) + scalar_sum(values[half:])
+
+
+def scalar_window_sums(x, window):
+    rows = [row.tolist() for row in np.atleast_2d(x)]
+    sums = [[scalar_sum(row[i:i + window]) for i in range(len(row) - window + 1)]
+            for row in rows]
+    return np.reshape(sums, x.shape[:-1] + (-1,))
+
+
+# left to right; 8 accumulators without and with a tail, one and several
+# blocks of 8; then the recursive split, whose halves take either branch
+SUM_WINDOWS = [3, 4, 5, 6, 7, 8, 13, 16, 23, 64, 127, 128, 129, 131, 257, 301]
+
+
+class TestWindowSums:
+    """The window sums are bit-exact, against a scalar transcription of
+    their stated order and against numpy's own reductions."""
+
+    @staticmethod
+    def terms(shape, seed):
+        # magnitudes from 1e-8 to 1e8, so that another order rounds differently
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    @pytest.mark.parametrize("window", SUM_WINDOWS)
+    @pytest.mark.parametrize("shape", [(40,), (3, 25)], ids=["1d", "2d"])
+    def test_matches_scalar_order(self, window, shape):
+        x = self.terms(shape[:-1] + (shape[-1] + window,), window)
+        assert _window_sums(x, window).tobytes() == scalar_window_sums(x, window).tobytes()
+
+    @pytest.mark.parametrize("window", SUM_WINDOWS)
+    def test_one_window_as_long_as_the_input(self, window):
+        x = self.terms((window,), window)
+        got = _window_sums(x, window)
+        assert got.shape == (1,)
+        assert got.tobytes() == scalar_window_sums(x, window).tobytes()
+
+    @pytest.mark.parametrize("window", SUM_WINDOWS + [199, 255, 401])
+    def test_matches_numpy_reductions(self, window):
+        # gamma2.csv kept its bytes when the kernel stopped calling these
+        x = self.terms((4, 3 * window), window)
+        view = sliding_window_view(x, window, axis=-1)
+        assert _window_sums(x, window).tobytes() == view.sum(axis=-1).tobytes()
+        psi = np.random.default_rng(window).uniform(-np.pi, np.pi, size=(4, 3 * window))
+        mean_c = sliding_window_view(np.cos(psi), window, axis=-1).mean(axis=-1)
+        mean_s = sliding_window_view(np.sin(psi), window, axis=-1).mean(axis=-1)
+        expected = np.minimum(mean_c * mean_c + mean_s * mean_s, 1.0)
+        assert windowed_resultant_sq(psi, window).tobytes() == expected.tobytes()
 
 
 class TestPhaseDifference:
