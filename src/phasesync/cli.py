@@ -56,7 +56,8 @@ _INPUT_FLAGS = {"input": "input", "calendar": "--calendar"}
 def _header_items(command: str, inputs) -> list[tuple[str, str]]:
     """The items that open every metadata.txt: command, then each of the
     {metadata key: path} inputs, its path followed by its SHA-256."""
-    # OpenSSL adds about 3.5 MB resident; loaded after the arrays are freed, it stays off the peak
+    # OpenSSL adds about 2.4 MiB resident. Loaded after the arrays are freed, it stays off
+    # the peak only of a run whose arrays outgrew it: filter_long's, not sync_wide's
     import hashlib
 
     items = [("command", command)]

@@ -380,15 +380,19 @@ def first_repeated(items):
 def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits.
 
-    Rows are formatted FORMAT_CHUNK values at a time, never the whole panel.
+    Rows are formatted FORMAT_CHUNK values at a time, never the whole panel;
+    the date fields are built once.
     """
     step = max(1, FORMAT_CHUNK // len(panel))
+    # each month label is YYYY-MM: 7 bytes that csv.writer never quotes; fromiter
+    # keeps no list of label objects, whose memory would stay resident
+    dates = np.fromiter(month_labels(panel.start, panel.n), "S7", panel.n)
+    dates = dates.view(np.uint8).reshape(panel.n, 1, 7)
     with open(path, "wb") as fh:
         fh.write(csv_rows(csv_fields([["date", *panel.ids]])))
         for start in range(0, panel.n, step):
-            values = panel.values[start:start + step]
-            dates = csv_fields([(d,) for d in month_labels(panel.month_at(start), len(values))])
-            fh.write(csv_rows(dates, format_g12(values)))
+            rows = slice(start, start + step)
+            fh.write(csv_rows(dates[rows], format_g12(panel.values[rows])))
 
 
 def load_recession_csv(path) -> RecessionCalendar:

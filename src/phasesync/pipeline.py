@@ -318,26 +318,27 @@ class StagedOutputs:
             (self.stage / name).replace(self.out_dir / name)
 
 
-def sample_rows(fh, meta: ResultMeta, header) -> np.ndarray:
+def sample_rows(fh, meta: ResultMeta, header) -> list[tuple[str, str]]:
     """Write the CSV header t,date,*header to the binary file fh and return
-    the csv_fields of meta's samples' (t, date), which lead every row."""
+    meta's samples' (t, date), the fields that lead every row."""
     fh.write(csv_rows(csv_fields([["t", "date", *header]])))
-    return csv_fields(meta.sample_fields())
+    return meta.sample_fields()
 
 
 def long_table_sink(fh, meta: ResultMeta, header, keys):
     """Write the CSV header t,date,*header to the binary file fh and return a sink
     that writes each (rows x samples) block it gets, a few thousand values at a time:
-    each block row, led by the fields of the next of keys, is one CSV row per sample."""
+    each block row, led by the fields of the next of keys, is one CSV row per sample.
+    The leads are joined once per run and the keys once per block."""
     lead = csv_joined(sample_rows(fh, meta, header))
     keys = iter(keys)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
 
     def write_block(block: np.ndarray) -> None:
+        names = csv_joined(islice(keys, len(block)))
         for start in range(0, len(block), step):
-            chunk = block[start:start + step]
-            names = csv_joined(csv_fields(islice(keys, len(chunk))))
-            fh.write(csv_long_rows(lead, names, format_g12(chunk)))
+            rows = slice(start, start + step)
+            fh.write(csv_long_rows(lead, names[rows], format_g12(block[rows])))
 
     return write_block
 
@@ -359,7 +360,7 @@ def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, regimes=()) -> N
         # the masks cover each sample once, so argmax finds its regime
         blocks.append(csv_fields([(name,) for name in names])[np.argmax(masks, axis=0)])
     with open(path, "wb") as fh:
-        fh.write(csv_rows(sample_rows(fh, meta, header), *blocks))
+        fh.write(csv_rows(csv_fields(sample_rows(fh, meta, header)), *blocks))
 
 
 def write_ratio_long_csv(path, meta: ResultMeta, ratios: np.ndarray) -> None:

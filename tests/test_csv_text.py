@@ -4,6 +4,7 @@ reader against a csv.reader reference."""
 import csv
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,21 @@ def test_near_decimal_ties(digits, exponent, n):
     # the nearest double to the 13-digit decimal d0..d11 5 x 10**(exponent - 12),
     # and its neighbours: the product lies near a half-integer
     assert_printf([ulps(float(f"{digits}5e{exponent - 12}"), n)])
+
+
+def test_products_at_the_guard_band():
+    # values whose product |v| * 10**(11 - e) lies 2**-15 .. 2**-12 above or
+    # below a half-integer: on both sides of format_g12's guard of 2**-13 and
+    # of the product's rounding error, up to 2**-14
+    values = []
+    for exponent in range(-4, 12):
+        for digits in (10**11, 123456789012, 5 * 10**11 + 1, 10**12 - 2):
+            for k in (15, 14, 13, 12):
+                for offset in (Fraction(1, 2**k), -Fraction(1, 2**k)):
+                    product = digits + Fraction(1, 2) + offset
+                    value = float(product * Fraction(10) ** (exponent - 11))
+                    values += [value, -value]
+    assert_printf(values)
 
 
 @PROPERTY

@@ -268,8 +268,18 @@ def test_golden(name, inputs, tmp_path, capsys):
 def test_long_tables_do_not_depend_on_the_chunk(chunk, inputs, tmp_path, capsys, monkeypatch):
     # the long-table sink formats at most FORMAT_CHUNK values at a time, and
     # at least one row of 308 samples: 1 and 7 write gamma2.csv and
-    # ratios_long.csv a row at a time, 1000 three rows (the default 2048, six)
+    # ratios_long.csv a row at a time, 1000 three rows (the default 3072, nine)
     monkeypatch.setattr("phasesync.pipeline.FORMAT_CHUNK", chunk)
     files = observe("sync", inputs, tmp_path, capsys)["files"]
     for name in ("gamma2.csv", "ratios_long.csv"):
         assert files[name] == GOLDEN["sync"]["files"][name]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_panel_csv_does_not_depend_on_the_chunk(chunk, inputs, tmp_path, capsys, monkeypatch):
+    # write_panel_csv builds the dates of all 360 months once and formats at
+    # least one row of 10 members at a time: 1 and 7 write filtered.csv a
+    # row at a time, 1000 100 rows (the default 3072, 307)
+    monkeypatch.setattr("phasesync.panel.FORMAT_CHUNK", chunk)
+    files = observe("filter", inputs, tmp_path, capsys)["files"]
+    assert files["filtered.csv"] == GOLDEN["filter"]["files"]["filtered.csv"]
