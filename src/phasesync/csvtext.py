@@ -2,16 +2,12 @@
 ``"%.12g" % v`` writes them, built as numpy byte arrays a block of rows at
 a time.
 
-Fields, cells and joined rows are padded with 0xFF, a byte UTF-8 never
-uses. Each writer fills one bytearray through a numpy view of it and
-drops the padding from that same buffer with one bytearray.translate, so
-a block's text is never copied out of numpy first.
-
-csv_rows joins blocks of fields byte by byte. A long table, one number
-per row, is built from whole fields instead (csv_long_rows): the leading
-fields of each row are joined once, commas included, into one void item
-as wide as the longest such row (csv_joined), and a row is four item
-copies.
+Fields are padded with 0xFF, a byte UTF-8 never uses. csv_fields joins
+each row of string fields once, format_g12 writes one 20-byte cell per
+number, and csv_rows builds the rows of any such blocks: copies of one
+template row with every field copied in as one item, in a bytearray whose
+padding one bytearray.translate drops, so a block's text is never copied
+out of numpy first.
 """
 
 from __future__ import annotations
@@ -187,13 +183,13 @@ def format_g12(values) -> np.ndarray:
 
 
 def csv_fields(rows) -> np.ndarray:
-    """(rows, fields, width) bytes of string fields, each quoted as csv.writer
-    quotes it, UTF-8-encoded and padded with 0xFF to the longest."""
-    encoded = [[csv_field(field).encode() for field in row] for row in rows]
-    count = len(encoded[0]) if encoded else 0
-    width = max((len(b) for row in encoded for b in row), default=0)
-    text = b"".join(b.ljust(width, b"\xff") for row in encoded for b in row)
-    return np.frombuffer(text, np.uint8).reshape(len(encoded), count, width)
+    """(rows, 1, width) bytes of rows of string fields: each row's fields
+    quoted as csv.writer quotes them and joined by commas, UTF-8-encoded and
+    padded with 0xFF to the longest row, at least 1 byte wide."""
+    joined = [",".join(map(csv_field, row)).encode() for row in rows]
+    width = max(map(len, joined), default=0) or 1
+    text = b"".join(row.ljust(width, b"\xff") for row in joined)
+    return np.frombuffer(text, np.uint8).reshape(len(joined), 1, width)
 
 
 def csv_rows(*blocks) -> bytearray:
@@ -204,42 +200,18 @@ def csv_rows(*blocks) -> bytearray:
     and ended by CRLF, as csv.writer writes it.
     """
     lead = np.broadcast_shapes(*(block.shape[:-2] for block in blocks))
-    spans = [block.shape[-2] * (block.shape[-1] + 1) for block in blocks]
-    buf = bytearray(math.prod(lead) * (sum(spans) + 1))
-    text = np.frombuffer(buf, np.uint8).reshape(math.prod(lead), sum(spans) + 1)
+    # every field's padding and the comma after it, CRLF over the last comma
+    template = b"".join((bytes([_PAD]) * block.shape[-1] + b",") * block.shape[-2]
+                        for block in blocks)
+    buf = bytearray(template[:-1] + b"\r\n") * math.prod(lead)
+    strides = np.frombuffer(buf, np.uint8).reshape(lead + (len(template) + 1,)).strides[:-1]
     start = 0
-    for block, span in zip(blocks, spans):
+    for block in blocks:
         count, width = block.shape[-2:]
-        # splitting axes, so this reshape is a view into text
-        fields = text[:, start:start + span].reshape(lead + (count, width + 1))
-        fields[..., :width] = block
-        fields[..., width] = ord(",")
-        start += span
-    text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # over the row's last comma
-    return buf.translate(None, _DELETE)
-
-
-def csv_joined(rows) -> np.ndarray:
-    """Each row of string fields as one void item: its fields quoted as
-    csv.writer quotes them, each followed by a comma, UTF-8-encoded and
-    padded with 0xFF to the longest joined row."""
-    joined = ["".join(csv_field(field) + "," for field in row).encode() for row in rows]
-    width = max(map(len, joined), default=1)
-    return np.frombuffer(b"".join(row.ljust(width, b"\xff") for row in joined), f"V{width}")
-
-
-def csv_long_rows(lead, keys, cells) -> bytearray:
-    """CSV rows lead[j], keys[i], cells[i, j], CRLF for every key i and
-    sample j, in C order: lead and keys are csv_joined items, cells the
-    (keys, samples, G12_WIDTH) cells of format_g12. Each field is copied as
-    one item into one structured array over a bytearray, whose padding is
-    then dropped."""
-    dtype = np.dtype([("lead", lead.dtype), ("key", keys.dtype),
-                      ("cell", f"V{G12_WIDTH}"), ("end", "V2")])
-    buf = bytearray(math.prod(cells.shape[:2]) * dtype.itemsize)
-    rows = np.frombuffer(buf, dtype).reshape(cells.shape[:2])
-    rows["lead"] = lead
-    rows["key"] = keys[:, None]
-    rows["cell"] = cells.view(f"V{G12_WIDTH}")[..., 0]
-    rows["end"] = np.void(b"\r\n")
+        # the block's fields in buf, each one V{width} item, so that each is
+        # copied whole
+        fields = np.ndarray(lead + (count,), f"V{width}", memoryview(buf)[start:],
+                            strides=strides + (width + 1,))
+        fields[...] = block.view(f"V{width}")[..., 0]
+        start += count * (width + 1)
     return buf.translate(None, _DELETE)

@@ -381,13 +381,10 @@ def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel in the format load_panel_csv reads, 12 significant digits.
 
     Rows are formatted FORMAT_CHUNK values at a time, never the whole panel;
-    the date fields are built once.
+    the date fields are joined once.
     """
     step = max(1, FORMAT_CHUNK // len(panel))
-    # each month label is YYYY-MM: 7 bytes that csv.writer never quotes; fromiter
-    # keeps no list of label objects, whose memory would stay resident
-    dates = np.fromiter(month_labels(panel.start, panel.n), "S7", panel.n)
-    dates = dates.view(np.uint8).reshape(panel.n, 1, 7)
+    dates = csv_fields(zip(month_labels(panel.start, panel.n)))
     with open(path, "wb") as fh:
         fh.write(csv_rows(csv_fields([["date", *panel.ids]])))
         for start in range(0, panel.n, step):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvtext import FORMAT_CHUNK, csv_fields, csv_joined, csv_long_rows, csv_rows, format_g12
+from .csvtext import FORMAT_CHUNK, csv_fields, csv_rows, format_g12
 from .errors import ContractError, PhaseSyncError
 from .panel import (FilterBand, Month, Panel, RecessionCalendar, month_labels,
                     periods_of_band, round_half_up)
@@ -94,16 +94,14 @@ class ResultMeta:
         """The geometry of config run on panel; the trim offset per end is the
         band's shortest period rounded half up when config.trim, else 0.
         Raises ContractError for < 2 series, a band or window that does not
-        fit, or a band of the Nyquist mode alone, whose phase is 0 or -pi."""
+        fit, or a band of one mode, which makes every series one sinusoid and
+        so locks every pair."""
         if len(panel) < 2:
             raise ContractError(
                 f"need >= 2 series for pairwise synchronization, got {len(panel)}"
             )
         n, band = panel.n, config.band
         shortest, _ = periods_of_band(n, band)
-        if 2 * band.lower == n:
-            raise ContractError(f"band ({band.lower}, {band.upper}) holds only the Nyquist "
-                                f"mode of a {n}-month panel, whose phase is 0 or -pi")
         trim_offset = round_half_up(shortest) if config.trim else 0
         usable = max(0, n - 2 * trim_offset)
         if usable < config.window:
@@ -111,6 +109,12 @@ class ResultMeta:
                 f"window {config.window} does not fit the {usable} months left "
                 f"after trimming a {n}-month panel for band "
                 f"({band.lower}, {band.upper})"
+            )
+        if band.lower == band.upper:
+            raise ContractError(
+                f"band ({band.lower}, {band.upper}) holds one mode: every series becomes one "
+                f"sinusoid of period {shortest:.12g} months, so every pair is locked whatever "
+                f"the coupling"
             )
         return cls(config, panel.ids, n, panel.start, trim_offset)
 
@@ -318,27 +322,27 @@ class StagedOutputs:
             (self.stage / name).replace(self.out_dir / name)
 
 
-def sample_rows(fh, meta: ResultMeta, header) -> list[tuple[str, str]]:
+def sample_rows(fh, meta: ResultMeta, header) -> np.ndarray:
     """Write the CSV header t,date,*header to the binary file fh and return
-    meta's samples' (t, date), the fields that lead every row."""
+    the csv_fields of meta's samples' (t, date), the fields that lead every row."""
     fh.write(csv_rows(csv_fields([["t", "date", *header]])))
-    return meta.sample_fields()
+    return csv_fields(meta.sample_fields())
 
 
 def long_table_sink(fh, meta: ResultMeta, header, keys):
     """Write the CSV header t,date,*header to the binary file fh and return a sink
     that writes each (rows x samples) block it gets, a few thousand values at a time:
     each block row, led by the fields of the next of keys, is one CSV row per sample.
-    The leads are joined once per run and the keys once per block."""
-    lead = csv_joined(sample_rows(fh, meta, header))
+    The samples' fields are joined once per run and the keys' once per block."""
+    lead = sample_rows(fh, meta, header)
     keys = iter(keys)
     step = max(1, FORMAT_CHUNK // meta.n_samples)
 
     def write_block(block: np.ndarray) -> None:
-        names = csv_joined(islice(keys, len(block)))
+        names = csv_fields(islice(keys, len(block)))[:, None]
         for start in range(0, len(block), step):
             rows = slice(start, start + step)
-            fh.write(csv_long_rows(lead, names[rows], format_g12(block[rows])))
+            fh.write(csv_rows(lead, names[rows], format_g12(block[rows])[..., None, :]))
 
     return write_block
 
@@ -360,7 +364,7 @@ def write_ratio_csv(path, meta: ResultMeta, ratios: np.ndarray, regimes=()) -> N
         # the masks cover each sample once, so argmax finds its regime
         blocks.append(csv_fields([(name,) for name in names])[np.argmax(masks, axis=0)])
     with open(path, "wb") as fh:
-        fh.write(csv_rows(csv_fields(sample_rows(fh, meta, header)), *blocks))
+        fh.write(csv_rows(sample_rows(fh, meta, header), *blocks))
 
 
 def write_ratio_long_csv(path, meta: ResultMeta, ratios: np.ndarray) -> None:

@@ -6,9 +6,13 @@ ending or different quoting; these tests compare the exact bytes.
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phasesync.panel
 from phasesync import (
@@ -69,23 +73,69 @@ def test_csv_rows_escapes_percent_in_every_field():
     assert csv_rows(leads, csv_fields([("p%d",)]), format_g12(values)) == expected
 
 
+# characters csv.writer quotes, the %-template's marker, and UTF-8 of 1 to 4
+# bytes; NUL is left out, as the csv module handles it only from Python 3.11
+FIELD = st.text(st.sampled_from(list(',"\r\n% a') + ["é", "東", "😀"])
+                | st.characters(codec="utf-8", exclude_characters="\x00"), max_size=5)
+# any float64, and values format_g12 leaves to "%.12g": ±0, below 1e-4, from
+# 1e12, and a product near a rounding tie
+CELL = st.floats(width=64) | st.sampled_from([0.0, -0.0, 3.25e-5, 1e12, 0.1234567890125])
+
+
+@st.composite
+def csv_blocks(draw):
+    """1-4 blocks for csv_rows, their leading shapes broadcasting to (k, s),
+    and for each block its rows of str fields and the row at each leading index."""
+    k, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    blocks, fields = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(1, 3))
+        if draw(st.booleans()):  # string fields, count of them joined per row
+            shape = draw(st.sampled_from([(k, s), (k, 1), (s,)]))
+            rows = draw(st.lists(st.lists(FIELD, min_size=count, max_size=count),
+                                 min_size=math.prod(shape), max_size=math.prod(shape)))
+            block = csv_fields(rows)
+            block = block.reshape(shape + block.shape[1:])
+        else:  # format_g12 cells, count of them per row
+            shape = draw(st.sampled_from([(k, s), (k, 1), (s,), ()]))
+            values = draw(arrays(float, shape + (count,), elements=CELL))
+            block = format_g12(values)
+            rows = [[format(v, ".12g") for v in row] for row in values.reshape(-1, count)]
+        blocks.append(block)
+        fields.append((rows, np.arange(len(rows)).reshape(shape)))
+    return blocks, fields
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_blocks())
+def test_csv_rows_match_csv_writer(blocks_and_fields):
+    blocks, fields = blocks_and_fields
+    lead = np.broadcast_shapes(*(index.shape for _, index in fields))
+    rows = [[field for block_rows, index in fields
+             for field in block_rows[np.broadcast_to(index, lead)[idx]]]
+            for idx in np.ndindex(lead)]
+    # csv.writer writes a row of one empty field as "", to tell it from a
+    # blank line; csv_rows has no such row to write
+    assume([""] not in rows)
+    assert csv_rows(*blocks) == writer_bytes(rows)
+
+
+def long_table_bytes(meta, header, keys, block) -> bytes:
+    """A long table as csv.writer writes it: for each key in turn, one row
+    t, date, *key, value per sample, t and date from meta.t_of and meta.month_of."""
+    rows = [["t", "date", *header]]
+    for key, values in zip(keys, block):
+        rows += [[meta.t_of(idx), str(meta.month_of(idx)), *key, format(v, ".12g")]
+                 for idx, v in enumerate(values)]
+    return writer_bytes(rows)
+
+
 def test_gamma_csv_bytes(result, tmp_path):
     path = tmp_path / "gamma2.csv"
     with open(path, "wb") as fh:
         gamma_csv_sink(fh, result.meta)(result.gamma2)
-    expected = [["t", "date", "pair_i", "pair_j", "gamma2"]]
-    for (id_i, id_j), row in zip(result.meta.pairs, result.gamma2):
-        for idx, g in enumerate(row):
-            expected.append(sample_fields(result, idx) + [id_i, id_j, format(g, ".12g")])
-    assert path.read_bytes() == writer_bytes(expected)
-
-
-def csv_rows_long_table(meta, header, keys, block) -> bytes:
-    """A long table as csv_rows writes it, joining every field byte by byte:
-    the oracle of long_table_sink, which copies whole fields."""
-    lead = csv_fields(meta.sample_fields())
-    return (csv_rows(csv_fields([["t", "date", *header]]))
-            + csv_rows(lead, csv_fields(keys)[:, None], format_g12(block)[..., None, :]))
+    assert path.read_bytes() == long_table_bytes(
+        result.meta, ["pair_i", "pair_j", "gamma2"], result.meta.pairs, result.gamma2)
 
 
 def long_table_meta(ids, n_samples, window=13):
@@ -120,7 +170,7 @@ def test_long_table_sink_matches_csv_rows(ids, n_samples):
         sink(values[start:start + len(ids) - 1 - i])
         start += len(ids) - 1 - i
     header = ["pair_i", "pair_j", "gamma2"]
-    assert fh.getvalue() == csv_rows_long_table(meta, header, meta.pairs, values)
+    assert fh.getvalue() == long_table_bytes(meta, header, meta.pairs, values)
 
 
 def test_ratio_long_sink_matches_csv_rows(tmp_path):
@@ -128,18 +178,15 @@ def test_ratio_long_sink_matches_csv_rows(tmp_path):
     ratios = long_table_values(len(meta.config.thresholds), 100)
     write_ratio_long_csv(tmp_path / "ratios_long.csv", meta, ratios)
     labels = [(r_label(r),) for r in meta.config.thresholds]
-    assert (tmp_path / "ratios_long.csv").read_bytes() == csv_rows_long_table(
+    assert (tmp_path / "ratios_long.csv").read_bytes() == long_table_bytes(
         meta, ["r", "R"], labels, ratios)
 
 
 def test_ratio_long_csv_bytes(result, tmp_path):
     path = tmp_path / "ratios_long.csv"
     write_ratio_long_csv(path, result.meta, result.ratios)
-    expected = [["t", "date", "r", "R"]]
-    for r, ratios in zip(result.meta.config.thresholds, result.ratios):
-        for idx, value in enumerate(ratios):
-            expected.append(sample_fields(result, idx) + [format(r, "g"), format(value, ".12g")])
-    assert path.read_bytes() == writer_bytes(expected)
+    labels = [(format(r, "g"),) for r in result.meta.config.thresholds]
+    assert path.read_bytes() == long_table_bytes(result.meta, ["r", "R"], labels, result.ratios)
 
 
 @pytest.mark.parametrize("with_labels", [False, True])

@@ -55,6 +55,7 @@ RUNS = {
     "refused-calendar-overlap": ("sync", "{panel}", *BAND, "--window", "13",
                                  "--calendar", "{overlap}"),
     "refused-zero-amplitude": ("sync", "{flat}", *BAND, "--window", "13"),
+    "refused-one-mode": ("sync", "{panel}", "--kl", "10", "--ku", "10", "--window", "13"),
     "refused-nyquist": ("sync", "{panel}", "--kl", "180", "--ku", "180", "--window", "13"),
     "refused-directory": ("sync", "{panel}", *BAND, "--window", "13"),
 }
@@ -182,9 +183,12 @@ GOLDEN = {
         "error: {overlap}: row 3: episode starting 1991-01 overlaps previous trough 1991-03\n"),
     "refused-zero-amplitude": refused(
         "error: series 'm02': zero amplitude everywhere; phase undefined\n"),
+    "refused-one-mode": refused(
+        "error: band (10, 10) holds one mode: every series becomes one sinusoid of period "
+        "36 months, so every pair is locked whatever the coupling\n"),
     "refused-nyquist": refused(
-        "error: band (180, 180) holds only the Nyquist mode of a 360-month panel, "
-        "whose phase is 0 or -pi\n"),
+        "error: band (180, 180) holds one mode: every series becomes one sinusoid of period "
+        "2 months, so every pair is locked whatever the coupling\n"),
     "refused-directory": refused(
         "error: [Errno 21] Is a directory: '{tmp}/out/ratios.csv'\n", {"ratios.csv": "dir"}),
 }

@@ -126,12 +126,15 @@ class TestPipelineConfig:
         phase = instantaneous_phase(bandpass(panel.values[:, 0], band))
         assert np.abs(np.sin(phase)).max() < 1e-12
         with pytest.raises(ContractError, match=re.escape(
-                "band (30, 30) holds only the Nyquist mode of a 60-month panel, "
-                "whose phase is 0 or -pi")):
+                "band (30, 30) holds one mode: every series becomes one sinusoid of "
+                "period 2 months, so every pair is locked whatever the coupling")):
             ResultMeta.of(panel, PipelineConfig(band=band, window=13))
-        # a band reaching below it runs, and so does mode 30 of 61 months
+        # a band reaching below it runs; mode 30 of 61 months is one mode too
         assert ResultMeta.of(panel, PipelineConfig(band=FilterBand(29, 30), window=13))
-        assert ResultMeta.of(small_panel(3, n=61), PipelineConfig(band=band, window=13))
+        with pytest.raises(ContractError, match=re.escape(
+                "band (30, 30) holds one mode: every series becomes one sinusoid of "
+                "period 2.03333333333 months")):
+            ResultMeta.of(small_panel(3, n=61), PipelineConfig(band=band, window=13))
 
     def test_whole_float_window_runs_as_its_int(self, tmp_path):
         panel = small_panel(3)
@@ -383,8 +386,8 @@ class TestAnnotateRecessions:
        st.integers(1, 120))
 def test_regimes_split_the_samples(calendar, first, count):
     # no trim and a 3-month window: count samples, the first centred on first
-    panel = Panel(["a", "b"], first + -1, np.zeros((count + 2, 2)))
-    meta = ResultMeta.of(panel, PipelineConfig(band=FilterBand(1, 1), window=3, trim=False))
+    config = PipelineConfig(band=FilterBand(1, 1), window=3, trim=False)
+    meta = ResultMeta(config, ("a", "b"), count + 2, first + -1, 0)
     assert (meta.anchor, meta.n_samples) == (first, count)
     in_contraction = [any(p < first + k <= t for p, t in calendar.episodes)
                       for k in range(count)]
